@@ -301,8 +301,8 @@ fn real_spec_mutations_yield_exactly_one_finding_each() {
 
     // Spec-side: bump the protocol version only in the document.
     let mutated = spec.replace(
-        "protocol version, `u16` — currently `3`",
         "protocol version, `u16` — currently `4`",
+        "protocol version, `u16` — currently `5`",
     );
     assert_ne!(mutated, spec, "mutation anchor lost — update this test with FORMAT.md");
     let report = run_files(&cfg, &files, Some(&mutated));

@@ -4,9 +4,9 @@
 //! Runs single-size JigSaw at s = 2..6 on GHZ-12 and reports relative PST
 //! plus the average local-PMF fidelity per size. Built on the staged
 //! pipeline: the global circuit is compiled and simulated **once**, and the
-//! `GlobalRun` artifact forked per subset size — the compiler probe proves
-//! the whole sweep performs exactly one global compile (every further
-//! compilation is a per-size CPM recompile).
+//! `GlobalRun` artifact forked per subset size — the compile counts every
+//! result carries prove the whole sweep performs exactly one global compile
+//! (every further compilation is a per-size CPM recompile).
 //!
 //! ```text
 //! cargo run --release -p jigsaw-bench --bin abl_subset_size -- [--trials 8192]
@@ -16,7 +16,6 @@ use jigsaw_bench::cli::Args;
 use jigsaw_bench::harness::harness_compiler;
 use jigsaw_bench::table;
 use jigsaw_circuit::bench::ghz;
-use jigsaw_compiler::probe;
 use jigsaw_core::{run_baseline_from, JigsawConfig, JigsawPipeline, ReferenceConfig, StageName};
 use jigsaw_device::Device;
 use jigsaw_pmf::{metrics, Pmf};
@@ -33,11 +32,10 @@ fn main() {
 
     // The shared prefix: one plan → compile → global run for the whole
     // sweep (baseline included — it executes the same measure-all
-    // artifact), with the compiler probe watching the compile count.
-    let before_global = probe::compile_count();
+    // artifact).
     let cfg = JigsawConfig { compiler, ..JigsawConfig::jigsaw(trials) }.with_seed(seed);
     let shared = JigsawPipeline::plan(bench.circuit(), &device, &cfg).compile_global();
-    let global_compiles = probe::compile_count() - before_global;
+    let global_compiles = shared.timings().compiles();
 
     let reference = ReferenceConfig::new(trials).with_seed(seed).with_compiler(compiler);
     let baseline = run_baseline_from(shared.artifact(), &device, &reference);
@@ -56,14 +54,20 @@ fn main() {
     ideal_circuit.measure_all();
     let ideal: Pmf = ideal_pmf(&ideal_circuit);
 
-    let before_sweep = probe::compile_count();
-    let mut cpm_compiles_expected = 0u64;
+    let (mut cpms, mut cpm_compiles) = (0u64, 0u64);
     let mut rows = Vec::new();
     for size in 2..=6usize {
         eprintln!("[abl_subset_size] s = {size} ...");
         let result =
             shared.clone().with_subset_sizes(vec![size]).select_subsets().run_cpms().reconstruct();
-        cpm_compiles_expected += result.marginals.len() as u64;
+        let cpm_record = result.timings.get(StageName::RunCpms).expect("run-cpms recorded");
+        cpms += result.marginals.len() as u64;
+        cpm_compiles += cpm_record.compiles;
+        assert_eq!(
+            result.compiles(),
+            global_compiles + cpm_record.compiles,
+            "the size-{size} fork must not recompile the global circuit"
+        );
         let rel = metrics::pst(&result.output, &correct) / base_pst;
 
         // Average local-PMF fidelity against each subset's ideal marginal.
@@ -74,20 +78,14 @@ fn main() {
             .sum::<f64>()
             / result.marginals.len() as f64;
 
-        let cpm_wall = result
-            .timings
-            .get(StageName::RunCpms)
-            .map(|r| format!("{:.3?}", r.wall))
-            .unwrap_or_default();
         rows.push(vec![
             size.to_string(),
             result.marginals.len().to_string(),
             format!("{mean_local_fidelity:.4}"),
             table::num(rel),
-            cpm_wall,
+            format!("{:.3?}", cpm_record.wall),
         ]);
     }
-    let sweep_compiles = probe::compile_count() - before_sweep;
 
     println!(
         "{}",
@@ -100,12 +98,9 @@ fn main() {
     println!("while captured correlation rises — the JigSaw-M trade-off.");
     println!();
     println!(
-        "Compile probe: {global_compiles} global compile, {sweep_compiles} CPM recompiles \
-         across the sweep ({cpm_compiles_expected} CPMs)."
+        "Compiles (from the results): {global_compiles} global, {cpm_compiles} CPM recompiles \
+         across the sweep ({cpms} CPMs)."
     );
     assert_eq!(global_compiles, 1, "the sweep must pay exactly one global compile");
-    assert_eq!(
-        sweep_compiles, cpm_compiles_expected,
-        "forked stages must not recompile the global circuit"
-    );
+    assert_eq!(cpm_compiles, cpms, "every CPM must recompile exactly once");
 }

@@ -150,7 +150,7 @@ fn main() {
     println!("solo finish: {solo_wall:.3} s");
 
     // Real-process zero-recompile check: one shard over the wire must
-    // report zero probe-counted compiles on the worker.
+    // report zero compiles on the worker.
     {
         let worker = spawn_worker(&binary);
         let mut client = Client::connect(worker.addr).expect("connect to worker");
@@ -162,7 +162,7 @@ fn main() {
         let partial = client.submit_shard(&request).expect("shard served");
         assert_eq!(partial.compiles, 0, "a worker executing a shipped stage must never recompile");
         stop_worker(worker);
-        println!("PASS compiles: worker served a shard with 0 probe-counted compiles");
+        println!("PASS compiles: worker served a shard with 0 compiles");
     }
 
     let worker_counts: &[usize] = if smoke { &[2] } else { &[1, 2, 4] };

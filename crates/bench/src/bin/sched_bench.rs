@@ -19,9 +19,10 @@
 //! ```
 //!
 //! Both modes assert per-job **bit-identity** with solo `run_jigsaw` and
-//! exact probe-counted compiles, and write `BENCH_sched.json` (override
-//! with `--out PATH`). Perf-ratio assertions (>=2x aggregate throughput at
-//! 4 clients, contended p99 <= 3x uncontended) are enforced in full mode
+//! each job's compile count read from its result, and write
+//! `BENCH_sched.json` (override with `--out PATH`). Perf-ratio assertions
+//! (>=2x aggregate throughput at 4 clients, contended p99 <= 3x
+//! uncontended) are enforced in full mode
 //! on multi-core hosts and reported as SKIP on single-core ones, where a
 //! parallel speedup is physically unavailable.
 
@@ -30,15 +31,14 @@ use std::time::Instant;
 
 use jigsaw_bench::cli::Args;
 use jigsaw_circuit::bench;
-use jigsaw_compiler::probe;
 use jigsaw_core::sched::{Priority, SchedConfig, Scheduler};
-use jigsaw_core::{run_jigsaw, JigsawConfig};
+use jigsaw_core::{run_jigsaw, JigsawConfig, JigsawResult};
 use jigsaw_device::Device;
 use jigsaw_pmf::codec::encode_to_vec;
 
 /// Digest-adjacent job family: one device + executor config, seeds vary.
-/// `without_recompilation` keeps the probe exact (one global compile per
-/// job); `run.threads = 1` makes the serial baseline genuinely serial so
+/// `without_recompilation` keeps each job's compile bill at its one global
+/// compile; `run.threads = 1` makes the serial baseline genuinely serial so
 /// the comparison isolates what the *scheduler* adds.
 fn job(trials: u64, seed: u64) -> (jigsaw_circuit::Circuit, Device, JigsawConfig) {
     let mut config = JigsawConfig::jigsaw(trials).without_recompilation().with_seed(seed);
@@ -47,7 +47,7 @@ fn job(trials: u64, seed: u64) -> (jigsaw_circuit::Circuit, Device, JigsawConfig
     (bench::ghz(6).circuit().clone(), Device::toronto(), config)
 }
 
-/// Solo-reference payloads for seeds `0..n` (outside any probe window).
+/// Solo-reference payloads for seeds `0..n`.
 fn solo_payloads(trials: u64, n: usize) -> Vec<Vec<u8>> {
     (0..n as u64)
         .map(|seed| {
@@ -68,11 +68,10 @@ fn serial_round(trials: u64, n: usize) -> f64 {
 }
 
 /// Scheduler round: `n` client threads each submit one digest-adjacent
-/// job and wait. Returns the wall time; asserts bit-identity and exact
-/// compile counts.
+/// job and wait. Returns the wall time; asserts bit-identity and that the
+/// results report exactly one global compile per job.
 fn sched_round(trials: u64, n: usize, solos: &[Vec<u8>]) -> f64 {
     let sched = std::sync::Arc::new(Scheduler::new(SchedConfig::default()));
-    let before = probe::compile_count();
     let start = Instant::now();
     let workers: Vec<_> = (0..n as u64)
         .map(|seed| {
@@ -82,16 +81,17 @@ fn sched_round(trials: u64, n: usize, solos: &[Vec<u8>]) -> f64 {
                 let ticket = sched
                     .submit(&program, &device, &config, Priority::Sweep, None)
                     .expect("admitted");
-                encode_to_vec(&ticket.wait().expect("job ran").result)
+                ticket.wait().expect("job ran").result
             })
         })
         .collect();
-    let payloads: Vec<Vec<u8>> = workers.into_iter().map(|w| w.join().expect("client")).collect();
+    let results: Vec<JigsawResult> =
+        workers.into_iter().map(|w| w.join().expect("client")).collect();
     let wall = start.elapsed().as_secs_f64();
-    let compiles = probe::compile_count() - before;
-    assert_eq!(compiles as usize, n, "{n} digest-adjacent jobs must pay exactly {n} compiles");
-    for (i, payload) in payloads.iter().enumerate() {
-        assert_eq!(payload, &solos[i], "scheduled job {i} must be bit-identical to solo");
+    let compiles: u64 = results.iter().map(JigsawResult::compiles).sum();
+    assert_eq!(compiles, n as u64, "{n} digest-adjacent jobs must pay exactly {n} compiles");
+    for (i, result) in results.iter().enumerate() {
+        assert_eq!(encode_to_vec(result), solos[i], "scheduled job {i} must equal solo");
     }
     wall
 }
@@ -225,7 +225,7 @@ fn main() {
         rows.push(row);
     }
     println!("PASS identity: every scheduled job bit-identical to solo run_jigsaw");
-    println!("PASS compiles: one probe-counted global compile per job at every client count");
+    println!("PASS compiles: every result reports one global compile at every client count");
 
     let (p50_free, p99_free) = latency_round(trials, samples, false);
     let (p50_sweep, p99_sweep) = latency_round(trials, samples, true);

@@ -1,9 +1,10 @@
 //! Duplicate-submission benchmark and CI smoke for the job server.
 //!
 //! The acceptance bar of the serving layer: K concurrent *identical*
-//! submissions must complete with exactly **one** probe-counted global
-//! compile, and every response must be bit-identical to a solo
-//! `run_jigsaw` of the same job — at every tested client count.
+//! submissions must complete with exactly **one** computation — one cache
+//! miss in the server's own metrics frame, hence one global compile — and
+//! every response must be bit-identical to a solo `run_jigsaw` of the
+//! same job, at every tested client count.
 //!
 //! ```text
 //! cargo run --release -p jigsaw-bench --bin serve_bench              # full sweep
@@ -16,12 +17,12 @@
 //! surplus surfaces as a typed `Overloaded` refusal instead of a hang —
 //! the CI workflow asserts on the PASS lines.
 
+use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use jigsaw_bench::cli::Args;
 use jigsaw_circuit::bench;
-use jigsaw_compiler::probe;
 use jigsaw_core::sched::SchedConfig;
 use jigsaw_core::{run_jigsaw, JigsawConfig, StageKind};
 use jigsaw_device::Device;
@@ -39,8 +40,17 @@ fn spill_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// `without_recompilation` keeps the probe exact: one global compile per
-/// distinct digest and nothing else.
+/// One unlabelled counter of the server at `addr`, read from its own
+/// metrics frame.
+fn server_counter(addr: SocketAddr, name: &str) -> u64 {
+    let text = Client::connect(addr).expect("connect").metrics().expect("metrics frame");
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("counter {name} missing from the metrics frame:\n{text}"))
+}
+
+/// `without_recompilation` keeps a computation's compile bill at its one
+/// global compile, so one cache miss is one compile.
 fn job_config(trials: u64, seed: u64) -> JigsawConfig {
     let mut config = JigsawConfig::jigsaw(trials).without_recompilation();
     config.seed = seed;
@@ -48,7 +58,7 @@ fn job_config(trials: u64, seed: u64) -> JigsawConfig {
 }
 
 /// Runs one round: `clients` concurrent submissions of the same job
-/// against a fresh server. Returns (probe delta, wall time), asserting
+/// against a fresh server. Returns (cache misses, wall time), asserting
 /// every response matches `expected` bit-for-bit.
 fn duplicate_round(clients: usize, trials: u64, expected: &[u8]) -> (u64, f64) {
     let handle =
@@ -58,7 +68,6 @@ fn duplicate_round(clients: usize, trials: u64, expected: &[u8]) -> (u64, f64) {
     let program = bench::ghz(8).circuit().clone();
     let config = job_config(trials, 7);
 
-    let before = probe::compile_count();
     let start = Instant::now();
     let workers: Vec<_> = (0..clients)
         .map(|_| {
@@ -78,9 +87,9 @@ fn duplicate_round(clients: usize, trials: u64, expected: &[u8]) -> (u64, f64) {
         assert_eq!(payload, expected, "response must be bit-identical to solo run_jigsaw");
     }
     let wall = start.elapsed().as_secs_f64();
-    let compiles = probe::compile_count() - before;
+    let misses = server_counter(addr, "jigsaw_server_cache_misses_total");
     handle.shutdown();
-    (compiles, wall)
+    (misses, wall)
 }
 
 /// Saturates a workers=1, capacity=1 server with simultaneous *distinct*
@@ -144,7 +153,6 @@ fn smoke() {
     let distinct_program = bench::ghz(5).circuit().clone();
     let distinct_config = job_config(2_048, 4);
 
-    let before = probe::compile_count();
     let dup_a = {
         let (p, d, c) = (dup_program.clone(), device.clone(), dup_config.clone());
         std::thread::spawn(move || {
@@ -175,11 +183,11 @@ fn smoke() {
     let a = dup_a.join().expect("dup A");
     let b = dup_b.join().expect("dup B");
     let _ = distinct.join().expect("distinct");
-    let compiles = probe::compile_count() - before;
+    let misses = server_counter(addr, "jigsaw_server_cache_misses_total");
 
     assert_eq!(a, b, "duplicate submissions must return identical bytes");
-    assert_eq!(compiles, 2, "one global compile per distinct digest, got {compiles}");
-    println!("PASS smoke-dedup: 3 clients, 2 digests, {compiles} compiles");
+    assert_eq!(misses, 2, "one computation per distinct digest, got {misses}");
+    println!("PASS smoke-dedup: 3 clients, 2 digests, {misses} cache misses");
 
     let solo = encode_to_vec(&run_jigsaw(&dup_program, &device, &dup_config));
     assert_eq!(a, solo, "served bytes must equal solo run_jigsaw");
@@ -215,14 +223,14 @@ fn main() {
 
     println!("serve_bench — duplicate-submission scaling (ghz8, {trials} trials)");
     println!();
-    println!("{:>8}  {:>9}  {:>9}", "clients", "compiles", "wall (s)");
+    println!("{:>8}  {:>9}  {:>9}", "clients", "misses", "wall (s)");
     for clients in [1usize, 2, 4, 8] {
-        let (compiles, wall) = duplicate_round(clients, trials, &expected);
-        assert_eq!(compiles, 1, "{clients} duplicate clients must share one global compile");
-        println!("{clients:>8}  {compiles:>9}  {wall:>9.3}");
+        let (misses, wall) = duplicate_round(clients, trials, &expected);
+        assert_eq!(misses, 1, "{clients} duplicate clients must share one computation");
+        println!("{clients:>8}  {misses:>9}  {wall:>9.3}");
     }
     println!();
-    println!("PASS: 1 compile and bit-identical responses at every client count");
+    println!("PASS: 1 computation and bit-identical responses at every client count");
 
     saturation_round(40_000);
 }

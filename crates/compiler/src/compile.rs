@@ -148,7 +148,6 @@ pub fn compile_with_avoidance(
         logical.n_qubits(),
         device.n_qubits()
     );
-    crate::probe::record_compile();
     let optimized;
     let logical = if options.peephole {
         optimized = crate::peephole::optimize(logical);

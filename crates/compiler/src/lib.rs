@@ -37,7 +37,6 @@ mod eps;
 mod layout;
 pub mod peephole;
 pub mod placement;
-pub mod probe;
 pub mod sabre;
 
 pub use compile::{compile, compile_with_avoidance, Compiled, CompilerOptions};

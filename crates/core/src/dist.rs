@@ -11,7 +11,7 @@
 //! 1. [`plan_shards`] partitions the canonical CPM order into contiguous
 //!    [`Shard`] ranges.
 //! 2. Each shard is executed somewhere — in-process via [`execute_shard`],
-//!    or on a `jigsaw-server` worker via the protocol-v3 shard frames —
+//!    or on a `jigsaw-server` worker via the protocol's shard frames —
 //!    yielding a [`ShardPartial`] of raw per-CPM histograms.
 //! 3. [`merge_partials`] reassembles the partials **in shard-index
 //!    order**, dedupes by shard index (duplicate deliveries are
@@ -233,11 +233,11 @@ fn cpm_count(stage: &SubsetsSelected) -> usize {
 }
 
 /// Executes one shard against `stage`, in-process: runs
-/// [`SubsetsSelected::run_cpm_item_counts`] over the range and records
-/// the probe-counted compile cost (zero for `without_recompilation`
-/// sweeps — the bench and tests assert workers never recompile). The
-/// probe is process-global, so the `compiles` field is exact only when
-/// the process is not compiling concurrently.
+/// [`SubsetsSelected::run_cpm_item_counts`] over the range and counts the
+/// compiles its own items cost — one per CPM when the stage recompiles
+/// CPMs, else zero (the `without_recompilation` stages sweeps ship; the
+/// bench and tests assert workers never recompile). The count follows the
+/// rule `finish_cpms` records, so it is exact at any concurrency.
 ///
 /// # Panics
 ///
@@ -253,8 +253,8 @@ pub fn execute_shard(stage: &SubsetsSelected, shard: &Shard) -> ShardPartial {
         shard.hi,
         work.len()
     );
-    let before = jigsaw_compiler::probe::compile_count();
-    let histograms: Vec<CpmHistogram> = work[shard.lo as usize..shard.hi as usize]
+    let items = &work[shard.lo as usize..shard.hi as usize];
+    let histograms: Vec<CpmHistogram> = items
         .iter()
         .enumerate()
         .map(|(offset, item)| CpmHistogram {
@@ -263,7 +263,7 @@ pub fn execute_shard(stage: &SubsetsSelected, shard: &Shard) -> ShardPartial {
             counts: stage.run_cpm_item_counts(item),
         })
         .collect();
-    let compiles = jigsaw_compiler::probe::compile_count().saturating_sub(before);
+    let compiles = stage.cpm_compiles(items.len());
     ShardPartial { shard_index: shard.index, lo: shard.lo, hi: shard.hi, compiles, histograms }
 }
 

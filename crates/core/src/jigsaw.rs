@@ -216,8 +216,8 @@ pub struct JigsawResult {
     /// tableau for Clifford programs (which is what lifts the width cap),
     /// the dense state vector otherwise.
     pub backend: BackendKind,
-    /// Per-stage telemetry: wall time, trials, backend and support sizes of
-    /// every pipeline stage that produced this result.
+    /// Per-stage telemetry: wall time, trials, compiles, backend and
+    /// support sizes of every pipeline stage that produced this result.
     pub timings: StageTimings,
 }
 
@@ -230,6 +230,17 @@ impl PartialEq for JigsawResult {
             && self.rounds == other.rounds
             && self.trials_used == other.trials_used
             && self.backend == other.backend
+    }
+}
+
+impl JigsawResult {
+    /// Placement-search compilations the run paid, summed over its stage
+    /// records: the global compile plus, when CPMs were recompiled, one
+    /// per CPM. A forked or resumed run carries the records of the stages
+    /// it inherited, so their compiles count in every branch.
+    #[must_use]
+    pub fn compiles(&self) -> u64 {
+        self.timings.compiles()
     }
 }
 

@@ -86,7 +86,11 @@ pub const MAGIC: [u8; 8] = *b"\x89JSW\r\n\x1a\x0a";
 
 /// Current archive format version. Bump on any layout change and document
 /// the migration in `docs/FORMAT.md`.
-pub const FORMAT_VERSION: u16 = 1;
+///
+/// **Version history.** v1: initial layout. v2: every `StageRecord` in the
+/// stage context carries its compile count; v1 archives are refused with
+/// [`PersistError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Fixed byte length of the archive header (everything before the payload).
 pub const HEADER_LEN: usize = 8 + 2 + 1 + 8 + 8;

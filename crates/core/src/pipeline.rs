@@ -27,7 +27,7 @@
 //! seeds, subset sizes, thread counts and backends.
 //!
 //! Each stage transition appends a [`StageRecord`] (wall time, trials,
-//! backend, support sizes) to the [`StageTimings`] that ends up on
+//! compiles, backend, support sizes) to the [`StageTimings`] that ends up on
 //! [`JigsawResult::timings`].
 
 use std::fmt;
@@ -84,6 +84,9 @@ pub struct StageRecord {
     pub wall: Duration,
     /// Trials executed in this stage (0 where not applicable).
     pub trials: u64,
+    /// Placement-search compilations this stage paid: 1 for
+    /// `compile-global`, one per CPM for a recompiling `run-cpms`, else 0.
+    pub compiles: u64,
     /// Work items processed: subset-size layers planned, circuits
     /// compiled, CPMs run, reconstruction rounds, …
     pub items: usize,
@@ -122,6 +125,12 @@ impl StageTimings {
         self.records.iter().map(|r| r.wall).sum()
     }
 
+    /// Placement-search compilations across all recorded stages.
+    #[must_use]
+    pub fn compiles(&self) -> u64 {
+        self.records.iter().fold(0, |sum, r| sum.saturating_add(r.compiles))
+    }
+
     fn push(&mut self, record: StageRecord) {
         self.records.push(record);
     }
@@ -133,6 +142,9 @@ impl fmt::Display for StageTimings {
             write!(f, "  {:<15} {:>10.3?}", r.stage.to_string(), r.wall)?;
             if r.trials > 0 {
                 write!(f, "  trials {}", r.trials)?;
+            }
+            if r.compiles > 0 {
+                write!(f, "  compiles {}", r.compiles)?;
             }
             if r.items > 0 {
                 write!(f, "  items {}", r.items)?;
@@ -359,6 +371,7 @@ impl JigsawPipeline {
             // Planning executes nothing; summing `trials` across records
             // must equal the trials actually run.
             trials: 0,
+            compiles: 0,
             items,
             backend: None,
             support: None,
@@ -410,6 +423,7 @@ impl Planned {
             stage: StageName::CompileGlobal,
             wall: t0.elapsed(),
             trials: 0,
+            compiles: 1,
             items: 1,
             backend: None,
             support: None,
@@ -489,6 +503,7 @@ impl GlobalCompiled {
             stage: StageName::RunGlobal,
             wall: t0.elapsed(),
             trials,
+            compiles: 0,
             items: 1,
             backend: Some(backend),
             support: Some(support),
@@ -698,6 +713,7 @@ impl GlobalRun {
             stage: StageName::SelectSubsets,
             wall: t0.elapsed(),
             trials: 0,
+            compiles: 0,
             items: cpm_count,
             backend: None,
             support: None,
@@ -811,6 +827,19 @@ impl SubsetsSelected {
         Executor::new(&self.ctx.device).run(&artifact.circuit, item.trials, &cpm_run)
     }
 
+    /// Compilations running `items` CPM work items costs: one each when
+    /// the config recompiles CPMs, none when they reuse the global mapping.
+    /// The stage record and shard partials both count this way, so every
+    /// execution path reports the same number.
+    #[must_use]
+    pub(crate) fn cpm_compiles(&self, items: usize) -> u64 {
+        if self.ctx.config.recompile_cpms {
+            items as u64
+        } else {
+            0
+        }
+    }
+
     /// The persist config digest of the producing `(program, device,
     /// config)` triple — the content address distributed shard frames are
     /// bound to, mirroring the job protocol's digest binding.
@@ -837,8 +866,8 @@ impl SubsetsSelected {
     /// Stage 4 completion: installs externally computed CPM marginals —
     /// which must be [`Self::run_cpm_item`] applied to [`Self::cpm_work`]
     /// in work-list order — and records the stage. The semantic stage
-    /// record (trials, items) is derived from the work list, so a batched
-    /// execution encodes byte-identically to [`Self::run_cpms`].
+    /// record (trials, compiles, items) is derived from the work list, so a
+    /// batched execution encodes byte-identically to [`Self::run_cpms`].
     ///
     /// # Panics
     ///
@@ -856,10 +885,12 @@ impl SubsetsSelected {
         let cpm_trials: u64 = work.iter().map(|w| w.trials).sum();
         let trials_used = self.ctx.plan.global_trials + cpm_trials;
         let items = marginals.len();
+        let compiles = self.cpm_compiles(items);
         self.ctx.record(StageRecord {
             stage: StageName::RunCpms,
             wall: t0.elapsed(),
             trials: cpm_trials,
+            compiles,
             items,
             backend: None,
             support: None,
@@ -945,6 +976,7 @@ impl CpmsRun {
             stage: StageName::Reconstruct,
             wall: t0.elapsed(),
             trials: 0,
+            compiles: 0,
             items: rounds,
             backend: None,
             support: Some(support),
@@ -1100,13 +1132,14 @@ impl Decode for StageName {
     }
 }
 
-/// Wire format: stage tag, trials, items, backend, support — **without the
-/// wall-clock duration**, which is telemetry, not protocol state; it
-/// decodes as [`Duration::ZERO`].
+/// Wire format: stage tag, trials, compiles, items, backend, support —
+/// **without the wall-clock duration**, which is telemetry, not protocol
+/// state; it decodes as [`Duration::ZERO`].
 impl Encode for StageRecord {
     fn encode(&self, w: &mut Writer) {
         self.stage.encode(w);
         w.put_u64(self.trials);
+        w.put_u64(self.compiles);
         w.put_usize(self.items);
         self.backend.encode(w);
         self.support.encode(w);
@@ -1119,6 +1152,7 @@ impl Decode for StageRecord {
             stage: StageName::decode(r)?,
             wall: Duration::ZERO,
             trials: r.u64()?,
+            compiles: r.u64()?,
             items: r.usize()?,
             backend: Option::<BackendKind>::decode(r)?,
             support: Option::<usize>::decode(r)?,
@@ -1504,9 +1538,15 @@ mod tests {
         assert_eq!(run_global.backend, Some(BackendKind::Stabilizer));
         assert!(run_global.support.is_some());
         assert!(result.timings.total_wall() > Duration::ZERO);
-        // Display renders one line per record plus the total.
+        // The run paid its global compile plus one per recompiled CPM.
+        let compile = result.timings.get(StageName::CompileGlobal).expect("recorded");
+        assert_eq!(compile.compiles, 1);
+        assert_eq!(result.compiles(), 1 + result.marginals.len() as u64);
+        // Display renders one line per record plus the total, naming the
+        // compiles of exactly the stages that paid some.
         let rendered = result.timings.to_string();
         assert_eq!(rendered.lines().count(), result.timings.records().len() + 1);
+        assert_eq!(rendered.matches("compiles").count(), 2, "{rendered}");
     }
 
     #[test]

@@ -1,19 +1,23 @@
-//! Process-wide metrics registry: counters and histograms with a text
-//! exposition, fed by every pipeline run in the process.
+//! Metrics registries: counters and histograms with a text exposition.
 //!
 //! [`StageTimings`](crate::pipeline::StageTimings) records the telemetry of
 //! *one* pipeline run and travels with its result. A long-running service
 //! needs the complement: an aggregate view across *all* runs the process
 //! has executed. This module promotes the per-run records into that view —
-//! every stage transition the pipeline records is also observed into a
-//! process-global histogram keyed by stage name, and subsystems (the job
-//! server's cache, for instance) register their own counters alongside.
+//! every stage transition the pipeline records is also observed into the
+//! process-global registry ([`global`]) as a histogram keyed by stage
+//! name, next to the scheduler and distributed-sweep families.
+//!
+//! Serving counters are scoped tighter: each job server builds its own
+//! [`Registry`] for its connection and cache counters, so two servers in
+//! one process never share a count. Its metrics frame renders that
+//! registry, then the global one.
 //!
 //! The registry is deliberately tiny and dependency-free:
 //!
 //! * **Counters** are monotonic [`AtomicU64`]s, registered by name and
-//!   label set. Like [`jigsaw_compiler::probe`], readers interested in a
-//!   region of work diff two snapshots.
+//!   label set; readers interested in a region of work diff two
+//!   snapshots.
 //! * **Histograms** have fixed, process-constant bucket bounds, so merged
 //!   or diffed readings are always comparable.
 //! * **Exposition** is a deterministic text rendering in the Prometheus
@@ -128,7 +132,8 @@ impl Histogram {
 /// Key of a registered metric: family name plus rendered label pairs.
 type MetricKey = (String, String);
 
-/// The process-wide registry. Obtain the singleton via [`global`].
+/// A metrics registry. The process-wide one is [`global`]; each job
+/// server builds its own for its serving counters.
 #[derive(Debug)]
 pub struct Registry {
     counters: Mutex<BTreeMap<MetricKey, Counter>>,

@@ -11,8 +11,9 @@
 //!
 //! Both `Decode` impls validate the structural invariants (strictly
 //! ascending qubit subsets, width agreement, a contiguous `cpm_index`
-//! run covering exactly `lo..hi`) so a corrupt or adversarial frame
-//! surfaces a typed [`CodecError`] instead of poisoning a merge.
+//! run covering exactly `lo..hi`, at most one compile per CPM) so a
+//! corrupt or adversarial frame surfaces a typed [`CodecError`] instead of
+//! poisoning a merge.
 
 use crate::codec::{CodecError, Decode, Encode, Reader, Writer};
 use crate::Counts;
@@ -75,9 +76,11 @@ pub struct ShardPartial {
     pub lo: u64,
     /// One past the last CPM work-list index covered (exclusive).
     pub hi: u64,
-    /// Probe-counted compiles this shard cost on the worker. Sweeps run
-    /// `without_recompilation`, so a non-zero value flags a worker that
-    /// recompiled instead of reusing the shipped artifacts.
+    /// Compiles this shard cost on the worker, counted from its own items:
+    /// one per CPM when the stage recompiles CPMs, else zero, so never more
+    /// than `hi − lo`. Sweeps run `without_recompilation`, so a non-zero
+    /// value flags a worker that recompiled instead of reusing the shipped
+    /// artifacts.
     pub compiles: u64,
     /// One histogram per work item in `lo..hi`, in work-list order.
     pub histograms: Vec<CpmHistogram>,
@@ -105,6 +108,15 @@ impl Decode for ShardPartial {
             return Err(CodecError::InvalidValue {
                 what: "ShardPartial",
                 detail: format!("empty or inverted range {lo}..{hi}"),
+            });
+        }
+        if compiles > hi - lo {
+            return Err(CodecError::InvalidValue {
+                what: "ShardPartial",
+                detail: format!(
+                    "{compiles} compiles claimed for the {}-CPM range {lo}..{hi}",
+                    hi - lo
+                ),
             });
         }
         let histograms = Vec::<CpmHistogram>::decode(r)?;
@@ -189,5 +201,15 @@ mod tests {
         gapped.histograms[1].cpm_index = 9;
         let err = decode_from_slice::<ShardPartial>(&encode_to_vec(&gapped)).unwrap_err();
         assert!(format!("{err}").contains("claims CPM index"), "{err}");
+
+        // A worker cannot claim more compiles than CPMs it returned; one
+        // per CPM (a fully recompiled shard) is the ceiling.
+        let mut ceiling = partial();
+        ceiling.compiles = 2;
+        assert_eq!(decode_from_slice::<ShardPartial>(&encode_to_vec(&ceiling)).unwrap(), ceiling);
+        let mut inflated = partial();
+        inflated.compiles = 3;
+        let err = decode_from_slice::<ShardPartial>(&encode_to_vec(&inflated)).unwrap_err();
+        assert!(matches!(err, CodecError::InvalidValue { what: "ShardPartial", .. }), "{err}");
     }
 }

@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use jigsaw_core::lockcheck::{Condvar, Mutex};
-use jigsaw_core::telemetry::{self, Counter};
+use jigsaw_core::telemetry::{Counter, Registry};
 use jigsaw_pmf::hashing::DetHashMap;
 
 use crate::protocol::{ErrorCode, JobRejection};
@@ -58,7 +58,7 @@ pub enum Outcome {
     Rehydrated,
 }
 
-/// Counters the cache feeds in the process-wide registry.
+/// Counters the cache feeds in its server's registry.
 #[derive(Debug, Clone)]
 pub struct CacheMetrics {
     /// Ready-map hits.
@@ -76,11 +76,9 @@ pub struct CacheMetrics {
 }
 
 impl CacheMetrics {
-    /// Registers (idempotently) the cache counter family in the global
-    /// registry.
+    /// Registers (idempotently) the cache counter family in `registry`.
     #[must_use]
-    pub fn register() -> Self {
-        let registry = telemetry::global();
+    pub fn register(registry: &Registry) -> Self {
         Self {
             hits: registry.counter("jigsaw_server_cache_hits_total", &[]),
             misses: registry.counter("jigsaw_server_cache_misses_total", &[]),
@@ -124,12 +122,17 @@ pub struct StageCache {
 
 impl StageCache {
     /// Creates a cache holding at most `capacity` ready entries, spilling
-    /// evictions into `spill_dir` (created if absent).
+    /// evictions into `spill_dir` (created if absent) and counting its
+    /// outcomes in `registry`.
     ///
     /// # Errors
     ///
     /// Propagates the I/O error when `spill_dir` cannot be created.
-    pub fn new(capacity: usize, spill_dir: impl Into<PathBuf>) -> std::io::Result<Self> {
+    pub fn new(
+        capacity: usize,
+        spill_dir: impl Into<PathBuf>,
+        registry: &Registry,
+    ) -> std::io::Result<Self> {
         let spill_dir = spill_dir.into();
         std::fs::create_dir_all(&spill_dir)?;
         Ok(Self {
@@ -139,7 +142,7 @@ impl StageCache {
                 "cache.inner",
                 Inner { ready: DetHashMap::default(), inflight: DetHashMap::default(), tick: 0 },
             ),
-            metrics: CacheMetrics::register(),
+            metrics: CacheMetrics::register(registry),
         })
     }
 
@@ -334,7 +337,7 @@ mod tests {
 
     #[test]
     fn hits_serve_the_installed_bytes() {
-        let cache = StageCache::new(4, tmp_dir("hits")).expect("spill dir");
+        let cache = StageCache::new(4, tmp_dir("hits"), &Registry::default()).expect("spill dir");
         let (first, outcome) = cache.get_or_compute(7, || artifacts(1), |_| unreachable!());
         assert_eq!(outcome, Outcome::Miss);
         let (second, outcome) = cache.get_or_compute(7, || unreachable!(), |_| unreachable!());
@@ -344,7 +347,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_lru_to_spill_and_rehydrates() {
-        let cache = StageCache::new(1, tmp_dir("evict")).expect("spill dir");
+        let cache = StageCache::new(1, tmp_dir("evict"), &Registry::default()).expect("spill dir");
         let _ = cache.get_or_compute(1, || artifacts(1), |_| unreachable!());
         let _ = cache.get_or_compute(2, || artifacts(2), |_| unreachable!());
         assert_eq!(cache.len(), 1, "capacity bound holds");
@@ -361,12 +364,13 @@ mod tests {
         );
         assert_eq!(outcome, Outcome::Rehydrated);
         assert_eq!(*result.expect("rehydrated"), vec![1; 4]);
-        assert!(cache.metrics().evictions.get() >= 1);
+        // Digest 2 evicted digest 1, and rehydrating 1 evicted 2 in turn.
+        assert_eq!(cache.metrics().evictions.get(), 2, "this cache's own count");
     }
 
     #[test]
     fn panics_become_typed_rejections_and_are_not_cached() {
-        let cache = StageCache::new(4, tmp_dir("panic")).expect("spill dir");
+        let cache = StageCache::new(4, tmp_dir("panic"), &Registry::default()).expect("spill dir");
         let (result, _) =
             cache.get_or_compute(9, || panic!("boom at subset 3"), |_| unreachable!());
         let rejection = result.expect_err("contained");
@@ -377,13 +381,15 @@ mod tests {
         let (result, outcome) = cache.get_or_compute(9, || artifacts(9), |_| unreachable!());
         assert_eq!(outcome, Outcome::Miss);
         assert!(result.is_ok());
-        assert!(cache.metrics().compute_errors.get() >= 1);
+        assert_eq!(cache.metrics().compute_errors.get(), 1, "this cache's own count");
     }
 
     #[test]
     fn duplicate_submitters_coalesce_on_one_computation() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let cache = Arc::new(StageCache::new(4, tmp_dir("dedup")).expect("spill dir"));
+        let cache = Arc::new(
+            StageCache::new(4, tmp_dir("dedup"), &Registry::default()).expect("spill dir"),
+        );
         let computes = Arc::new(AtomicU64::new(0));
         let barrier = Arc::new(std::sync::Barrier::new(8));
         let workers: Vec<_> = (0..8)

@@ -22,7 +22,7 @@
 //! * [`client`] — a blocking client, plus the raw hooks the concurrency
 //!   and fuzz test batteries drive.
 //! * [`dist`] — the wire side of distributed CPM sweeps: shards of a
-//!   checkpointed `SubsetsSelected` scatter to worker processes as v3
+//!   checkpointed `SubsetsSelected` scatter to worker processes as shard
 //!   frames and merge back bit-identically (`jigsaw_core::dist` owns the
 //!   planning/retry/merge algebra).
 //!

@@ -10,7 +10,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  89 4A 53 4A 0D 0A 1A 0A   ("\x89JSJ\r\n\x1a\n")
-//! 8       2     protocol version (u16 LE, currently 3)
+//! 8       2     protocol version (u16 LE, currently 4)
 //! 10      1     frame kind tag (see FrameKind)
 //! 11      8     config digest (u64 LE; 0 where not applicable)
 //! 19      8     payload length N (u64 LE)
@@ -61,8 +61,11 @@ pub const MAGIC: [u8; 8] = *b"\x89JSJ\r\n\x1a\x0a";
 /// distributed-sweep shard frames [`SubmitShard`](FrameKind::SubmitShard)
 /// (tag 8), [`ShardResult`](FrameKind::ShardResult) (tag 9) and
 /// [`ShardError`](FrameKind::ShardError) (tag 10) joined the kind space
-/// (`docs/FORMAT.md` §7); a v2 peer is refused the same typed way.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// (`docs/FORMAT.md` §7); a v2 peer is refused the same typed way. v4:
+/// every encoded `StageRecord` — inside `JobResult` payloads and the
+/// stage a `SubmitShard` ships — carries its compile count (archive format
+/// version 2); a v3 peer is refused the same typed way.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Fixed-size frame prefix: magic + version + kind + digest + length.
 pub const HEADER_LEN: usize = 8 + 2 + 1 + 8 + 8;

@@ -22,6 +22,12 @@
 //! at every thread count and the encoded `JigsawResult` excludes wall
 //! clocks — regardless of lane, interleaving or batching.
 //!
+//! Serving counters — jobs, overload refusals and the cache's outcomes —
+//! live in a [`Registry`] the server owns, so two servers in one process
+//! never share a count. The metrics frame renders that registry, then
+//! [`telemetry::global`] with the scheduler, stage and distributed-sweep
+//! families.
+//!
 //! Shutdown is cooperative: a [`FrameKind::Shutdown`] frame (or
 //! [`ServerHandle::shutdown`]) raises a flag, a self-connection unblocks
 //! the acceptor, handler read loops notice the flag at their next read
@@ -41,7 +47,7 @@ use jigsaw_core::dist::ShardRequest;
 use jigsaw_core::lockcheck::{Condvar, Mutex};
 use jigsaw_core::persist;
 use jigsaw_core::sched::{JobError, SchedConfig, Scheduler};
-use jigsaw_core::telemetry::{self, Counter};
+use jigsaw_core::telemetry::{self, Counter, Registry};
 use jigsaw_core::StageKind;
 use jigsaw_pmf::codec::encode_to_vec;
 use jigsaw_pmf::ShardPartial;
@@ -242,19 +248,21 @@ struct FaultPlan {
     die_after_shards: Option<u64>,
 }
 
-/// Counters the serving layer feeds (the cache and scheduler register
-/// their own).
+/// The server's own metrics registry and the serving counters it holds;
+/// the cache registers into the same registry.
 #[derive(Clone)]
 struct ServerMetrics {
+    registry: Arc<Registry>,
     jobs: Counter,
     refused: Counter,
 }
 
 impl ServerMetrics {
-    fn register() -> Self {
+    fn register(registry: Arc<Registry>) -> Self {
         Self {
-            jobs: telemetry::global().counter("jigsaw_server_jobs_total", &[]),
-            refused: telemetry::global().counter("jigsaw_server_overloaded_total", &[]),
+            jobs: registry.counter("jigsaw_server_jobs_total", &[]),
+            refused: registry.counter("jigsaw_server_overloaded_total", &[]),
+            registry,
         }
     }
 }
@@ -267,11 +275,12 @@ impl ServerMetrics {
 pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let cache = Arc::new(StageCache::new(config.capacity, &config.spill_dir)?);
+    let registry = Arc::new(Registry::default());
+    let cache = Arc::new(StageCache::new(config.capacity, &config.spill_dir, &registry)?);
     let scheduler = Arc::new(Scheduler::new(config.sched.clone()));
     let shutdown = Arc::new(AtomicBool::new(false));
     let conns = Arc::new(ConnQueue::new(config.queue_depth));
-    let metrics = ServerMetrics::register();
+    let metrics = ServerMetrics::register(registry);
     let faults = Arc::new(FaultPlan {
         shards_seen: AtomicU64::new(0),
         die_after_shards: config.die_after_shards,
@@ -365,7 +374,8 @@ fn handle_connection(
             FrameKind::SubmitJob => handle_submit(&mut stream, &frame, cache, scheduler, metrics),
             FrameKind::SubmitShard => handle_shard(&mut stream, &frame, scheduler, faults),
             FrameKind::MetricsRequest => {
-                let text = telemetry::global().render_text();
+                let mut text = metrics.registry.render_text();
+                text.push_str(&telemetry::global().render_text());
                 Frame { kind: FrameKind::MetricsText, digest: 0, payload: text.into_bytes() }
                     .write_to(&mut stream)
                     .is_ok()

@@ -1,14 +1,10 @@
-//! Artifact reuse across a staged sweep, verified by the compiler probe:
-//! forking `GlobalCompiled`/`GlobalRun` must never recompile (or re-run)
-//! the global circuit, and every additional compilation must be a CPM
-//! recompile the config actually asked for.
-//!
-//! Kept as a single `#[test]` on purpose: the probe counter is
-//! process-global, and sibling tests compiling concurrently in this binary
-//! would corrupt the deltas.
+//! Artifact reuse across a staged sweep, verified by the compile counts
+//! every result carries: forking `GlobalCompiled`/`GlobalRun` must never
+//! recompile (or re-run) the global circuit, and every additional
+//! compilation must be a CPM recompile the config actually asked for.
 
 use jigsaw_repro::circuit::bench;
-use jigsaw_repro::compiler::{probe, CompilerOptions};
+use jigsaw_repro::compiler::CompilerOptions;
 use jigsaw_repro::core::{run_jigsaw, JigsawConfig, JigsawPipeline, StageName, SubsetSelection};
 use jigsaw_repro::device::Device;
 
@@ -23,30 +19,24 @@ fn staged_sweep_compiles_the_global_circuit_exactly_once() {
     .with_seed(21);
 
     // --- One global compile for the whole sweep ---------------------------
-    let before_global = probe::compile_count();
     let shared = JigsawPipeline::plan(b.circuit(), &device, &cfg).compile_global();
-    assert_eq!(
-        probe::compile_count() - before_global,
-        1,
-        "compile_global performs exactly one compilation"
-    );
+    assert_eq!(shared.timings().compiles(), 1, "compile_global performs exactly one compilation");
     let shared = shared.run_global();
 
     // --- Sweep subset sizes off the shared artifact ------------------------
-    let before_sweep = probe::compile_count();
-    let mut expected_cpm_compiles = 0u64;
     let mut results = Vec::new();
     for size in 2..=5usize {
         let result =
             shared.clone().with_subset_sizes(vec![size]).select_subsets().run_cpms().reconstruct();
-        expected_cpm_compiles += result.marginals.len() as u64;
+        let cpm_compiles = result.timings.get(StageName::RunCpms).expect("recorded").compiles;
+        assert_eq!(cpm_compiles, result.marginals.len() as u64, "one recompile per CPM");
+        assert_eq!(
+            result.compiles(),
+            1 + cpm_compiles,
+            "forked stages must only pay CPM recompiles, never a global recompile"
+        );
         results.push(result);
     }
-    assert_eq!(
-        probe::compile_count() - before_sweep,
-        expected_cpm_compiles,
-        "forked stages must only pay CPM recompiles, never a global recompile"
-    );
 
     // Each fork is bit-identical to its standalone monolithic run.
     for (size, staged) in (2..=5usize).zip(&results) {
@@ -59,13 +49,8 @@ fn staged_sweep_compiles_the_global_circuit_exactly_once() {
     }
 
     // --- Reuse-mode forks compile nothing at all ---------------------------
-    let before_reuse = probe::compile_count();
     let reuse = shared.clone().without_recompilation().select_subsets().run_cpms().reconstruct();
-    assert_eq!(
-        probe::compile_count() - before_reuse,
-        0,
-        "layout-reuse CPMs must not invoke the compiler"
-    );
+    assert_eq!(reuse.compiles(), 1, "layout-reuse CPMs must not invoke the compiler");
     assert_eq!(reuse.marginals.len(), 8);
 
     // --- Adaptive selection runs off the same artifact and covers ----------

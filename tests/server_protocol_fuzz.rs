@@ -10,10 +10,11 @@
 //! provably changes the checksum. Flips inside the magic fail the magic
 //! comparison itself. Either way: typed error, no silent acceptance.
 //!
-//! Protocol v3 extends the kind space with the distributed-sweep shard
+//! Protocol v3 extended the kind space with the distributed-sweep shard
 //! frames (`SubmitShard`/`ShardResult`/`ShardError`); the battery covers
 //! them with the same strided corruption discipline, plus the version
-//! clash a v2 peer produces against a v3 server.
+//! clash a previous-version peer produces against the current server and
+//! a forged `ShardResult` claiming more compiles than CPMs.
 
 use jigsaw_repro::circuit::bench;
 use jigsaw_repro::core::dist::{Shard, ShardRequest};
@@ -21,10 +22,12 @@ use jigsaw_repro::core::pipeline::JigsawPipeline;
 use jigsaw_repro::core::sched::Priority;
 use jigsaw_repro::core::{run_jigsaw, JigsawConfig, StageKind};
 use jigsaw_repro::device::Device;
-use jigsaw_repro::pmf::codec::{encode_to_vec, fnv1a64};
+use jigsaw_repro::pmf::codec::{decode_from_slice, encode_to_vec, fnv1a64, CodecError};
+use jigsaw_repro::pmf::ShardPartial;
 use jigsaw_repro::server::client::Client;
 use jigsaw_repro::server::protocol::{
     decode_shard, decode_submit, Frame, FrameKind, JobRequest, ProtocolError, HEADER_LEN,
+    PROTOCOL_VERSION,
 };
 use jigsaw_repro::server::server::{serve, ServerConfig};
 use jigsaw_repro::server::ErrorCode;
@@ -223,6 +226,25 @@ fn shard_result_frames_fail_typed_at_every_stride() {
     }
 }
 
+/// A worker cannot claim more compiles than CPMs it returned: a forged
+/// `ShardResult` whose checksum is valid still fails typed at decode.
+#[test]
+fn forged_shard_result_claiming_extra_compiles_is_refused() {
+    let request = sample_shard_request();
+    let mut partial = jigsaw_repro::core::dist::execute_shard(&request.stage, &request.shard);
+    partial.compiles = request.shard.len() + 1;
+    let frame = Frame {
+        kind: FrameKind::ShardResult,
+        digest: request.digest(),
+        payload: encode_to_vec(&partial),
+    };
+    let reparsed = Frame::from_bytes(&frame.to_bytes()).expect("frame shape is valid");
+    match decode_from_slice::<ShardPartial>(&reparsed.payload) {
+        Err(CodecError::InvalidValue { what: "ShardPartial", .. }) => {}
+        other => panic!("expected a typed ShardPartial refusal, got {other:?}"),
+    }
+}
+
 /// Per-region taxonomy on the shard frame: magic, version, kind tag,
 /// length, checksum and the digest binding each refuse with their own
 /// variant.
@@ -259,36 +281,39 @@ fn shard_corruption_maps_to_the_right_variant_per_region() {
     assert!(matches!(decode_shard(&reparsed), Err(ProtocolError::DigestMismatch { .. })));
 }
 
-/// Version refusal is symmetric and typed: a v2 frame (version field
-/// rewritten, checksum honestly recomputed) is refused offline with
-/// `UnsupportedVersion`, and a live v3 server answers it with a clean
-/// `Malformed` rejection naming the version — no hang, no panic, and the
-/// connection that follows still works.
+/// Version refusal is symmetric and typed: a frame of the previous
+/// protocol version (version field rewritten, checksum honestly
+/// recomputed) is refused offline with `UnsupportedVersion`, and a live
+/// server answers it with a clean `Malformed` rejection naming the
+/// version — no hang, no panic, and the connection that follows still
+/// works.
 #[test]
-fn v2_client_against_v3_server_is_refused_cleanly() {
-    // Forge a well-formed *v2* shard frame: same bytes, version field
-    // set to 2, trailing checksum recomputed over [8, len-8).
-    let mut v2 = Frame::submit_shard(&sample_shard_request()).to_bytes();
-    v2[8..10].copy_from_slice(&2u16.to_le_bytes());
-    let span = v2.len() - 8;
-    let checksum = fnv1a64(&v2[8..span]);
-    let len = v2.len();
-    v2[len - 8..].copy_from_slice(&checksum.to_le_bytes());
+fn previous_protocol_version_is_refused_cleanly() {
+    // Forge a well-formed previous-version shard frame: same bytes,
+    // version field rewritten, trailing checksum recomputed over
+    // [8, len-8).
+    let previous = PROTOCOL_VERSION - 1;
+    let mut stale = Frame::submit_shard(&sample_shard_request()).to_bytes();
+    stale[8..10].copy_from_slice(&previous.to_le_bytes());
+    let span = stale.len() - 8;
+    let checksum = fnv1a64(&stale[8..span]);
+    let len = stale.len();
+    stale[len - 8..].copy_from_slice(&checksum.to_le_bytes());
 
     // Offline: the parser names the versions.
-    match Frame::from_bytes(&v2) {
-        Err(ProtocolError::UnsupportedVersion { found: 2 }) => {}
-        other => panic!("expected UnsupportedVersion {{ found: 2 }}, got {other:?}"),
+    match Frame::from_bytes(&stale) {
+        Err(ProtocolError::UnsupportedVersion { found }) if found == previous => {}
+        other => panic!("expected UnsupportedVersion {{ found: {previous} }}, got {other:?}"),
     }
 
     // Live: the server refuses with a typed Malformed rejection.
     let spill = std::env::temp_dir()
         .join("jigsaw-server-fuzz-tests")
-        .join(format!("v2-refusal-{}", std::process::id()));
+        .join(format!("stale-refusal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&spill);
     let handle = serve(&ServerConfig::new(spill)).expect("bind");
     let mut client = Client::connect(handle.addr()).expect("connect");
-    client.send_raw(&v2).expect("write v2 frame");
+    client.send_raw(&stale).expect("write stale frame");
     let reply = client.read_frame().expect("reply frame").expect("server replied");
     assert_eq!(reply.kind, FrameKind::JobError);
     let rejection: jigsaw_repro::server::JobRejection =
@@ -303,7 +328,7 @@ fn v2_client_against_v3_server_is_refused_cleanly() {
     // The server outlived the refusal and still serves shards.
     let request = sample_shard_request();
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let partial = client.submit_shard(&request).expect("v3 shard still served");
+    let partial = client.submit_shard(&request).expect("current-version shard still served");
     assert_eq!(partial.shard_index, request.shard.index);
     handle.shutdown();
 }
