@@ -30,7 +30,7 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| run_jigsaw(bench.circuit(), &device, &jm));
     });
 
-    // The rayon fan-out off (threads=1) vs on (threads=0, all cores). Both
+    // The fan-out off (threads=1) vs on (threads=0, all cores). Both
     // produce bit-identical histograms for the shared seed; the sanity
     // check below guards that before any timing is trusted.
     let mut serial = jm.clone();
@@ -40,7 +40,7 @@ fn bench_pipeline(c: &mut Criterion) {
     assert_eq!(
         run_jigsaw(bench.circuit(), &device, &serial).output,
         run_jigsaw(bench.circuit(), &device, &parallel).output,
-        "serial and rayon-parallel runs must agree for a fixed seed"
+        "serial and parallel runs must agree for a fixed seed"
     );
     group.bench_function("jigsaw_m_serial", |b| {
         b.iter(|| run_jigsaw(bench.circuit(), &device, &serial));

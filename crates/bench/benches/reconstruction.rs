@@ -19,7 +19,7 @@ fn bench_entries(c: &mut Criterion) {
     for entries in [1_000usize, 4_000, 16_000] {
         let p = synthetic::global_pmf(30, entries, 1);
         group.bench_with_input(BenchmarkId::from_parameter(entries), &entries, |b, _| {
-            b.iter(|| reconstruction_round(&p, &ms));
+            b.iter(|| reconstruction_round(&p, &ms, 1));
         });
     }
     group.finish();
@@ -32,7 +32,7 @@ fn bench_cpms(c: &mut Criterion) {
     for cpms in [5usize, 20, 80] {
         let ms = synthetic::marginals(30, cpms, 2, 200 + cpms as u64);
         group.bench_with_input(BenchmarkId::from_parameter(cpms), &cpms, |b, _| {
-            b.iter(|| reconstruction_round(&p, &ms));
+            b.iter(|| reconstruction_round(&p, &ms, 1));
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 //! reconstruction core on synthetic supports of 10⁴–10⁶ observed outcomes
 //! (the wide-Clifford regime unlocked by the stabilizer backend) and
 //! reports (a) linearity in support size, per §7.3, and (b) wall-clock
-//! scaling across the rayon worker team — with the outputs checked
+//! scaling across the `fan_out` worker team — with the outputs checked
 //! bit-identical at every thread count before any timing is trusted.
 //!
 //! ```text

@@ -59,7 +59,7 @@ fn main() {
         let p = synthetic::global_pmf(40, entries, 7);
         let ms = synthetic::marginals(40, 20, 2, 7 + entries as u64);
         let t0 = Instant::now();
-        let _ = reconstruction_round(&p, &ms);
+        let _ = reconstruction_round(&p, &ms, 1);
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         timing_rows.push(vec![entries.to_string(), "20".into(), format!("{dt:.2} ms")]);
     }
@@ -67,7 +67,7 @@ fn main() {
         let p = synthetic::global_pmf(40, 4000, 8);
         let ms = synthetic::marginals(40, cpms, 2, 8 + cpms as u64);
         let t0 = Instant::now();
-        let _ = reconstruction_round(&p, &ms);
+        let _ = reconstruction_round(&p, &ms, 1);
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         timing_rows.push(vec!["4000".into(), cpms.to_string(), format!("{dt:.2} ms")]);
     }

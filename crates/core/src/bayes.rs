@@ -16,12 +16,12 @@
 //! At large supports (the wide-Clifford workloads produce 10⁵–10⁶ observed
 //! outcomes) reconstruction dominates the pipeline, so both support passes
 //! of [`bayesian_update`] — group-mass accumulation and posterior scaling —
-//! and the per-marginal work of [`reconstruction_round`] run on the rayon
-//! worker team. The prior's support is walked in the canonical order of
-//! [`Pmf::sorted_entries`] and cut into fixed-size shards
-//! ([`jigsaw_pmf::parallel::SHARD_SIZE`]); partial results merge in shard
-//! order. Because the shard layout depends only on the support size — never
-//! on the worker count — serial and parallel execution produce
+//! and the per-marginal work of [`reconstruction_round`] run on
+//! [`fan_out`]'s scoped worker threads. The prior's support is walked in
+//! the canonical order of [`Pmf::sorted_entries`] and cut into fixed-size
+//! shards ([`jigsaw_pmf::parallel::SHARD_SIZE`]); partial results merge in
+//! shard order. Because the shard layout depends only on the support size —
+//! never on the worker count — serial and parallel execution produce
 //! **bit-identical** output at every thread setting (enforced by
 //! `tests/reconstruction_sharding.rs`).
 
@@ -211,9 +211,9 @@ fn update_factors(group_mass: &DetHashMap<BitString, f64>, marginal: &Marginal) 
 }
 
 /// One `Bayesian_Update` (Algorithm 1, lines 1–16): posterior of the prior
-/// `p` given one marginal, computed serially. Equivalent to
-/// [`bayesian_update_with_threads`] with one worker — and bit-identical to
-/// it at any worker count, because the shard layout is fixed.
+/// `p` given one marginal, with both support passes sharded across
+/// `threads` workers (`0` = all cores, `1` = serial). Bit-identical at every
+/// `threads` setting, because the shard layout is fixed.
 ///
 /// For every prior outcome `Bx`, its update coefficient is `p(Bx)`
 /// normalised within the group of outcomes sharing `Bx`'s subset
@@ -225,14 +225,7 @@ fn update_factors(group_mass: &DetHashMap<BitString, f64>, marginal: &Marginal) 
 ///
 /// Panics if the marginal addresses qubits outside the prior's width.
 #[must_use]
-pub fn bayesian_update(p: &Pmf, marginal: &Marginal) -> Pmf {
-    bayesian_update_with_threads(p, marginal, 1)
-}
-
-/// [`bayesian_update`] with both support passes sharded across `threads`
-/// rayon workers (`0` = all cores, `1` = serial).
-#[must_use]
-pub fn bayesian_update_with_threads(p: &Pmf, marginal: &Marginal, threads: usize) -> Pmf {
+pub fn bayesian_update(p: &Pmf, marginal: &Marginal, threads: usize) -> Pmf {
     let entries = p.sorted_entries();
     // Pass 1 — group-mass accumulation, sharded then merged in shard order.
     let partials = map_shards(&entries, threads, |shard| shard_group_masses(marginal, shard));
@@ -259,23 +252,17 @@ pub fn bayesian_update_with_threads(p: &Pmf, marginal: &Marginal, threads: usize
 
 /// One reconstruction round (Algorithm 1, lines 17–23): every marginal's
 /// posterior is computed against the same prior and added onto it; the sum
-/// is normalised. Order-independent by construction. Serial; bit-identical
-/// to [`reconstruction_round_with_threads`] at any worker count.
+/// is normalised. Order-independent by construction, fanned out across
+/// `threads` workers and bit-identical at every `threads` setting.
 #[must_use]
-pub fn reconstruction_round(p: &Pmf, marginals: &[Marginal]) -> Pmf {
-    reconstruction_round_with_threads(p, marginals, 1)
-}
-
-/// [`reconstruction_round`] fanned out across `threads` rayon workers.
-#[must_use]
-pub fn reconstruction_round_with_threads(p: &Pmf, marginals: &[Marginal], threads: usize) -> Pmf {
+pub fn reconstruction_round(p: &Pmf, marginals: &[Marginal], threads: usize) -> Pmf {
     let entries = p.sorted_entries();
     let out = reconstruction_round_over_entries(&entries, marginals, threads);
     pmf_from_canonical_entries(p.n_bits(), out)
 }
 
 /// One reconstruction round over the prior's canonical entry list — the
-/// allocation-lean core behind [`reconstruction_round_with_threads`] and
+/// allocation-lean core behind [`reconstruction_round`] and
 /// [`reconstruct`].
 ///
 /// `entries` must be in canonical (ascending outcome) order with positive
@@ -473,7 +460,7 @@ mod tests {
     fn update_reproduces_fig6_posterior_ratios() {
         // Fig. 6 step 3 lists the unnormalised posteriors 0.05, 0.07, 0.13,
         // 0.64, 0.05, 0.04, 0.13, 0.86; ratios survive normalisation.
-        let posterior = bayesian_update(&fig6_prior(), &fig6_marginal());
+        let posterior = bayesian_update(&fig6_prior(), &fig6_marginal(), 1);
         let expected_unnormalised = [
             ("000", 0.0556),
             ("001", 0.0741),
@@ -514,7 +501,7 @@ mod tests {
         // must not move the prior much (Bayesian consistency).
         let p = fig6_prior();
         let own = Marginal::new(vec![0, 1], p.marginal(&[0, 1]));
-        let out = reconstruction_round(&p, &[own]);
+        let out = reconstruction_round(&p, &[own], 1);
         // Projections agree before and after.
         let before = p.marginal(&[0, 1]);
         let after = out.marginal(&[0, 1]);
@@ -529,8 +516,8 @@ mod tests {
         m2pmf.set(bs("00"), 0.3);
         m2pmf.set(bs("11"), 0.7);
         let m2 = Marginal::new(vec![1, 2], m2pmf);
-        let ab = reconstruction_round(&p, &[m1.clone(), m2.clone()]);
-        let ba = reconstruction_round(&p, &[m2, m1]);
+        let ab = reconstruction_round(&p, &[m1.clone(), m2.clone()], 1);
+        let ba = reconstruction_round(&p, &[m2, m1], 1);
         assert!(metrics::tvd(&ab, &ba) < 1e-12);
     }
 
@@ -538,11 +525,10 @@ mod tests {
     fn update_is_thread_count_invariant() {
         let p = fig6_prior();
         let m = fig6_marginal();
-        let serial = bayesian_update_with_threads(&p, &m, 1);
+        let serial = bayesian_update(&p, &m, 1);
         for threads in [0, 2, 3, 8] {
-            assert_eq!(serial, bayesian_update_with_threads(&p, &m, threads));
+            assert_eq!(serial, bayesian_update(&p, &m, threads));
         }
-        assert_eq!(serial, bayesian_update(&p, &m));
     }
 
     #[test]
@@ -553,9 +539,9 @@ mod tests {
         m2pmf.set(bs("00"), 0.3);
         m2pmf.set(bs("11"), 0.7);
         let marginals = vec![m1, Marginal::new(vec![1, 2], m2pmf)];
-        let serial = reconstruction_round_with_threads(&p, &marginals, 1);
+        let serial = reconstruction_round(&p, &marginals, 1);
         for threads in [0, 2, 5] {
-            assert_eq!(serial, reconstruction_round_with_threads(&p, &marginals, threads));
+            assert_eq!(serial, reconstruction_round(&p, &marginals, threads));
         }
     }
 
@@ -584,7 +570,7 @@ mod tests {
         assert_eq!(before, after);
         assert!((out.iter().map(|(_, v)| v).sum::<f64>() - 1.0).abs() < 1e-12);
         // The Pmf-level wrapper is exactly this core plus a map build.
-        let wrapped = reconstruction_round(&p, &ms);
+        let wrapped = reconstruction_round(&p, &ms, 1);
         for (b, v) in &out {
             assert_eq!(wrapped.prob(b), *v);
         }
@@ -597,7 +583,7 @@ mod tests {
         let p = fig6_prior();
         let mut m = Pmf::new(2);
         m.set(bs("11"), 1.0);
-        let posterior = bayesian_update(&p, &Marginal::new(vec![0, 1], m));
+        let posterior = bayesian_update(&p, &Marginal::new(vec![0, 1], m), 1);
         assert_eq!(posterior.prob(&bs("000")), 0.0);
         assert!(posterior.prob(&bs("011")) > 0.0);
         assert!(posterior.prob(&bs("111")) > 0.0);

@@ -96,9 +96,8 @@ pub mod telemetry;
 pub mod trials;
 
 pub use bayes::{
-    bayesian_update, bayesian_update_with_threads, reconstruct, reconstruction_round,
-    reconstruction_round_over_entries, reconstruction_round_with_threads, Marginal, Reconstruction,
-    ReconstructionConfig,
+    bayesian_update, reconstruct, reconstruction_round, reconstruction_round_over_entries,
+    Marginal, Reconstruction, ReconstructionConfig,
 };
 pub use dist::{DistConfig, DistError, Shard, ShardRequest, ShardRunner};
 pub use evaluate::Scores;

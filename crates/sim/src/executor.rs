@@ -33,6 +33,7 @@
 
 use jigsaw_circuit::Circuit;
 use jigsaw_device::Device;
+use jigsaw_pmf::parallel::fan_out;
 use jigsaw_pmf::{BitString, Counts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -344,7 +345,7 @@ impl<'d> Executor<'d> {
         // batch order. parallel and serial runs produce identical
         // histograms because every batch's randomness is pinned to its
         // index, not to execution order.
-        let per_batch: Vec<Counts> = crate::parallel::fan_out(batches, config.threads, run_batch);
+        let per_batch: Vec<Counts> = fan_out(batches, config.threads, run_batch);
 
         let mut counts = Counts::new(n_clbits);
         for batch in &per_batch {

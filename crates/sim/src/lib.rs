@@ -38,7 +38,6 @@ mod complex;
 mod executor;
 mod ideal;
 mod noise;
-pub mod parallel;
 pub mod seed;
 mod stabilizer;
 mod statevector;

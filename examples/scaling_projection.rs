@@ -67,7 +67,7 @@ fn main() {
             })
             .collect();
         let t0 = Instant::now();
-        let out = reconstruction_round(&p, &marginals);
+        let out = reconstruction_round(&p, &marginals, 1);
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         println!(
             "  {entries:>6} entries x 64 CPMs: {dt:8.2} ms   (support {} -> {})",

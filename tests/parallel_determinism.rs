@@ -1,4 +1,4 @@
-//! Regression: the rayon-backed fan-outs (executor trajectory batches and
+//! Regression: the `fan_out` worker teams (executor trajectory batches and
 //! the CPM subset mode) must be invisible in the results — a fixed seed
 //! produces bit-identical histograms at every thread count.
 

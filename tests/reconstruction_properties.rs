@@ -43,7 +43,7 @@ proptest! {
         p in pmf_strategy(6, 20),
         m in marginal_strategy(6),
     ) {
-        let out = bayesian_update(&p, &m);
+        let out = bayesian_update(&p, &m, 1);
         prop_assert!(out.total_mass() < 1.0 + 1e-9);
         prop_assert!(out.support_size() <= p.support_size());
         for (_, prob) in out.iter() {
@@ -56,7 +56,7 @@ proptest! {
         p in pmf_strategy(6, 20),
         ms in prop::collection::vec(marginal_strategy(6), 1..6),
     ) {
-        let out = reconstruction_round(&p, &ms);
+        let out = reconstruction_round(&p, &ms, 1);
         prop_assert!((out.total_mass() - 1.0).abs() < 1e-9);
         prop_assert!(out.support_size() <= p.support_size());
     }
@@ -66,10 +66,10 @@ proptest! {
         p in pmf_strategy(5, 16),
         ms in prop::collection::vec(marginal_strategy(5), 2..5),
     ) {
-        let forward = reconstruction_round(&p, &ms);
+        let forward = reconstruction_round(&p, &ms, 1);
         let mut reversed = ms.clone();
         reversed.reverse();
-        let backward = reconstruction_round(&p, &reversed);
+        let backward = reconstruction_round(&p, &reversed, 1);
         prop_assert!(metrics::tvd(&forward, &backward) < 1e-9);
     }
 

@@ -6,8 +6,7 @@
 
 use jigsaw_bench::synthetic::{global_pmf, marginal};
 use jigsaw_repro::core::{
-    bayesian_update_with_threads, reconstruct, reconstruction_round_with_threads, Marginal,
-    ReconstructionConfig,
+    bayesian_update, reconstruct, reconstruction_round, Marginal, ReconstructionConfig,
 };
 use jigsaw_repro::pmf::parallel::SHARD_SIZE;
 use jigsaw_repro::pmf::{BitString, Pmf};
@@ -27,9 +26,9 @@ proptest! {
     ) {
         let p = global_pmf(12, entries, seed);
         let m = marginal(12, size, point_mass, seed ^ 0xABCD);
-        let serial = bayesian_update_with_threads(&p, &m, 1);
+        let serial = bayesian_update(&p, &m, 1);
         for threads in THREAD_COUNTS {
-            prop_assert_eq!(&serial, &bayesian_update_with_threads(&p, &m, threads));
+            prop_assert_eq!(&serial, &bayesian_update(&p, &m, threads));
         }
     }
 
@@ -44,9 +43,9 @@ proptest! {
         let ms: Vec<Marginal> = (0..marginal_count)
             .map(|i| marginal(11, 1 + i % 3, point_mass && i % 2 == 0, seed + i as u64))
             .collect();
-        let serial = reconstruction_round_with_threads(&p, &ms, 1);
+        let serial = reconstruction_round(&p, &ms, 1);
         for threads in THREAD_COUNTS {
-            prop_assert_eq!(&serial, &reconstruction_round_with_threads(&p, &ms, threads));
+            prop_assert_eq!(&serial, &reconstruction_round(&p, &ms, threads));
         }
     }
 
@@ -81,11 +80,11 @@ fn multi_shard_supports_are_bit_identical_across_thread_counts() {
         let p = global_pmf(20, entries, 42);
         let ms: Vec<Marginal> =
             (0..marginal_count).map(|i| marginal(20, 2, false, 7 + i as u64)).collect();
-        let serial = reconstruction_round_with_threads(&p, &ms, 1);
+        let serial = reconstruction_round(&p, &ms, 1);
         for threads in THREAD_COUNTS {
             assert_eq!(
                 serial,
-                reconstruction_round_with_threads(&p, &ms, threads),
+                reconstruction_round(&p, &ms, threads),
                 "entries = {entries}, threads = {threads}"
             );
         }
