@@ -7,10 +7,18 @@
 //! grow ~10× per step. `reconstruction_thread_scaling` holds a 10⁶-entry
 //! support fixed and sweeps the worker count; output is bit-identical at
 //! every setting, so the sweep measures pure wall-clock scaling.
+//!
+//! Those groups time single rounds, and each single-round call also builds
+//! the marginals' projection indices, a once-per-layer cost.
+//! `reconstruction_iterated` runs a full 32-round `reconstruct` on 10⁴- and
+//! 10⁵-entry supports, where the index is built once, so its time divided
+//! by 32 is the per-round kernel cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jigsaw_bench::synthetic;
-use jigsaw_core::{reconstruction_round, reconstruction_round_over_entries};
+use jigsaw_core::{
+    reconstruct, reconstruction_round, reconstruction_round_over_entries, ReconstructionConfig,
+};
 
 fn bench_entries(c: &mut Criterion) {
     let mut group = c.benchmark_group("reconstruction_vs_entries");
@@ -64,5 +72,27 @@ fn bench_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_entries, bench_cpms, bench_support_scaling, bench_thread_scaling);
+fn bench_iterated(c: &mut Criterion) {
+    let ms = synthetic::marginals(40, 8, 2, 500);
+    // A zero tolerance never stops early: every iteration runs 32 rounds.
+    let config = ReconstructionConfig { tolerance: 0.0, max_rounds: 32, threads: 1 };
+    let mut group = c.benchmark_group("reconstruction_iterated");
+    group.sample_size(10);
+    for entries in [10_000usize, 100_000] {
+        let p = synthetic::global_pmf(40, entries, 5);
+        group.bench_with_input(BenchmarkId::from_parameter(entries), &entries, |b, _| {
+            b.iter(|| reconstruct(&p, &ms, &config));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_entries,
+    bench_cpms,
+    bench_support_scaling,
+    bench_thread_scaling,
+    bench_iterated
+);
 criterion_main!(benches);

@@ -1,9 +1,16 @@
 //! Reconstruction-scaling scenario: drives the sharded Bayesian
 //! reconstruction core on synthetic supports of 10⁴–10⁶ observed outcomes
 //! (the wide-Clifford regime unlocked by the stabilizer backend) and
-//! reports (a) linearity in support size, per §7.3, and (b) wall-clock
-//! scaling across the `fan_out` worker team — with the outputs checked
-//! bit-identical at every thread count before any timing is trusted.
+//! reports (a) linearity in support size, per §7.3, (b) wall-clock scaling
+//! across the `fan_out` worker team — with the outputs checked
+//! bit-identical at every thread count before any timing is trusted — and
+//! (c) the per-round kernel cost of an iterated `reconstruct`.
+//!
+//! Sections (a) and (b) time single rounds through
+//! `reconstruction_round_over_entries`, so each includes building the
+//! marginals' projection indices, a once-per-layer cost. Section (c) runs
+//! 32 rounds of `reconstruct` on one index, so its per-round figure is the
+//! hash-free round kernel itself.
 //!
 //! ```text
 //! cargo run --release -p jigsaw-bench --bin recon_scaling
@@ -13,10 +20,13 @@
 use std::time::Instant;
 
 use jigsaw_bench::{cli, table};
-use jigsaw_core::{reconstruction_round_over_entries, Marginal};
+use jigsaw_core::{reconstruct, reconstruction_round_over_entries, Marginal, ReconstructionConfig};
 use jigsaw_pmf::BitString;
 
 const N_BITS: usize = 40;
+
+/// Rounds of the iterated case; a zero tolerance means none stops early.
+const ITERATED_ROUNDS: usize = 32;
 
 type Entries = Vec<(BitString, f64)>;
 
@@ -70,6 +80,35 @@ fn main() {
             last / first
         );
     }
+    println!();
+
+    // --- Per-round kernel cost (iterated reconstruct) ---------------------
+    let config = ReconstructionConfig { tolerance: 0.0, max_rounds: ITERATED_ROUNDS, threads: 1 };
+    let mut iterated_rows = Vec::new();
+    for entries in [10_000usize, 100_000].into_iter().filter(|&s| s <= max_entries) {
+        let p = jigsaw_bench::synthetic::global_pmf(N_BITS, entries, seed);
+        let t0 = Instant::now();
+        let r = reconstruct(&p, &marginals, &config);
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(r.rounds, ITERATED_ROUNDS, "a zero tolerance runs every round");
+        let per_round = secs / ITERATED_ROUNDS as f64;
+        iterated_rows.push(vec![
+            entries.to_string(),
+            cpms.to_string(),
+            format!("{:.1} ms", secs * 1e3),
+            format!("{:.3} ms", per_round * 1e3),
+            format!("{:.1} ns", per_round * 1e9 / entries as f64),
+        ]);
+    }
+    println!("Iterated reconstruct, {ITERATED_ROUNDS} rounds on one projection index (serial):");
+    println!();
+    println!(
+        "{}",
+        table::render(
+            &["Entries", "CPMs", "Total", "Per round", "Per entry·round"],
+            &iterated_rows
+        )
+    );
     println!();
 
     // --- Thread scaling on the largest support ----------------------------

@@ -14,19 +14,39 @@
 //! # Sharded execution
 //!
 //! At large supports (the wide-Clifford workloads produce 10⁵–10⁶ observed
-//! outcomes) reconstruction dominates the pipeline, so both support passes
-//! of [`bayesian_update`] — group-mass accumulation and posterior scaling —
-//! and the per-marginal work of [`reconstruction_round`] run on
-//! [`fan_out`]'s scoped worker threads. The prior's support is walked in
-//! the canonical order of [`Pmf::sorted_entries`] and cut into fixed-size
-//! shards ([`jigsaw_pmf::parallel::SHARD_SIZE`]); partial results merge in
-//! shard order. Because the shard layout depends only on the support size —
-//! never on the worker count — serial and parallel execution produce
+//! outcomes) reconstruction dominates the pipeline. The prior's support is
+//! walked in the canonical order of [`Pmf::sorted_entries`] and cut into
+//! fixed-size shards ([`jigsaw_pmf::parallel::SHARD_SIZE`]). Each round's
+//! three shard passes — group-mass accumulation, posterior scaling, and
+//! normalisation fused with the Hellinger check — run on [`fan_out`]'s
+//! scoped worker threads, and per-shard partials merge in shard order.
+//! Because the shard layout depends only on the support size — never on
+//! the worker count — serial and parallel execution produce
 //! **bit-identical** output at every thread setting (enforced by
-//! `tests/reconstruction_sharding.rs`).
+//! `tests/reconstruction_sharding.rs`). Single-shard supports, and rounds
+//! too small to repay spawning the team, run inline.
+//!
+//! A round only reweights the support, so within one layer the outcomes —
+//! and every marginal's subset projection of them — never change. Each call
+//! therefore projects and hashes the support **once**, building per
+//! marginal a *projection index*: every entry gets the `u32` slot of its
+//! projection within its shard, every slot the `u32` id of its projection,
+//! and every id the marginal's odds. Every round is then a hash-free
+//! gather/scatter over flat `f64` weight arrays, double buffered by the
+//! caller, with workers writing into disjoint shard slices; a round
+//! allocates only its short per-shard work lists.
+//!
+//! The ids are what keep the bytes fixed. They are numbered in the
+//! iteration order of the deterministic group-mass map — per-shard maps
+//! merged in shard order — which depends only on the keys and their
+//! insertion sequence, both fixed for the layer. The odds total
+//! `Σ pr/(1 − pr)` therefore sums in the same order every round, and every
+//! other accumulation keeps its shard-ordered tree, so the output equals
+//! the map-based kernel this index replaced to the last bit (pinned by
+//! `tests/reconstruction_golden.rs`).
 
 use jigsaw_pmf::hashing::DetHashMap;
-use jigsaw_pmf::parallel::{fan_out, map_shards, SHARD_SIZE};
+use jigsaw_pmf::parallel::{fan_out, SHARD_SIZE};
 use jigsaw_pmf::{BitString, Pmf};
 
 /// A CPM's evidence: the measured qubit subset and its local PMF.
@@ -143,75 +163,260 @@ pub struct Reconstruction {
     pub rounds: usize,
     /// Whether the Hellinger criterion was met within the round cap.
     pub converged: bool,
+    /// Hellinger distance between the last round's input and output — the
+    /// step the tolerance is checked against. `0` when there is nothing to
+    /// reconstruct (no marginals), infinite when no round ran.
+    pub distance: f64,
 }
 
-/// A contiguous slice of canonical `(outcome, weight)` entries — the unit
-/// of sharded work.
-type EntrySlice<'a> = &'a [(BitString, f64)];
-
-/// One marginal's evidence, reduced to per-projection multipliers.
+/// One marginal's projections over a layer's fixed support.
 ///
-/// For a prior entry with projection key `k`, the unnormalised posterior is
-/// `prob · factor[k]` where `factor[k] = odds(pr_k) / gsum_k`; dividing by
-/// `total = Σ_k odds(pr_k)` (mathematically the posterior's mass, since the
-/// entry coefficients within a group sum to one) normalises it. Keys with
-/// zero group mass or zero marginal probability carry no factor.
-struct UpdateFactors {
-    factor: DetHashMap<BitString, f64>,
+/// Slots and ids are `u32`: a support of 2³² outcomes would need ~160 GiB
+/// of entries before the first round.
+struct ProjectionIndex {
+    /// Per support entry: the slot of its projection within its shard.
+    slot: Vec<u32>,
+    /// Per shard, per slot: the projection id the slot's mass merges into.
+    slot_ids: Vec<Vec<u32>>,
+    /// Per projection id: the marginal odds `pr/(1 − pr)`, or `0` where the
+    /// marginal gives the projection no probability.
+    odds: Vec<f64>,
+    /// Merge scratch per id: the group mass, then the posterior factor.
+    id_buf: Vec<f64>,
+    /// This round's normaliser: the odds summed, in id order, over the ids
+    /// that carry a factor.
     total: f64,
 }
 
-/// Group-mass partial for one shard of the prior's canonical entry order:
-/// the shard's probability mass keyed by subset projection.
-fn shard_group_masses(
-    marginal: &Marginal,
-    shard: &[(BitString, f64)],
-) -> DetHashMap<BitString, f64> {
-    let mut g: DetHashMap<BitString, f64> = DetHashMap::default();
-    for (b, prob) in shard {
-        *g.entry(b.project(&marginal.qubits)).or_insert(0.0) += prob;
+impl ProjectionIndex {
+    fn new(outcomes: &[BitString], marginal: &Marginal) -> Self {
+        // Shard-local slots in first-seen order: each shard's map sees its
+        // keys in the same insertion sequence as that shard's group masses.
+        let mut slot = Vec::with_capacity(outcomes.len());
+        let mut shard_slots: Vec<DetHashMap<BitString, u32>> = Vec::new();
+        for shard in outcomes.chunks(SHARD_SIZE) {
+            let mut slots: DetHashMap<BitString, u32> = DetHashMap::default();
+            for b in shard {
+                let fresh = slots.len() as u32;
+                slot.push(*slots.entry(b.project(&marginal.qubits)).or_insert(fresh));
+            }
+            shard_slots.push(slots);
+        }
+        // The group-mass merge inserts each shard's keys in shard order and
+        // map order; the merged map's iteration order numbers the ids.
+        let mut ids: DetHashMap<BitString, u32> = DetHashMap::default();
+        for slots in &shard_slots {
+            for key in slots.keys() {
+                ids.entry(*key).or_insert(0);
+            }
+        }
+        let mut odds = Vec::with_capacity(ids.len());
+        for (id, (key, slot_id)) in ids.iter_mut().enumerate() {
+            *slot_id = id as u32;
+            // Clamp pr away from 1 so the odds stay finite (a marginal that
+            // is literally a point mass would otherwise divide by zero).
+            let pr = marginal.pmf.prob(key).min(1.0 - 1e-12);
+            odds.push(if pr > 0.0 { pr / (1.0 - pr) } else { 0.0 });
+        }
+        let slot_ids = shard_slots
+            .iter()
+            .map(|slots| {
+                let mut by_slot = vec![0; slots.len()];
+                for (key, &s) in slots {
+                    by_slot[s as usize] = ids[key];
+                }
+                by_slot
+            })
+            .collect();
+        Self { slot, slot_ids, id_buf: vec![0.0; odds.len()], odds, total: 0.0 }
     }
-    g
+
+    /// The slots of shard `k`'s entries.
+    fn shard_slots(&self, k: usize) -> &[u32] {
+        let start = k * SHARD_SIZE;
+        &self.slot[start..self.slot.len().min(start + SHARD_SIZE)]
+    }
+
+    /// Merges this marginal's (`m`) slot masses into group masses in shard
+    /// order, reduces them to per-id factors `odds / gsum` and the odds
+    /// total — skipping ids with no group mass or no marginal probability —
+    /// and scatters the factors back onto the slots.
+    fn merge_factors(&mut self, m: usize, scratch: &mut [ShardScratch]) {
+        self.id_buf.fill(0.0);
+        for (shard, ids) in scratch.iter().zip(&self.slot_ids) {
+            for (&mass, &id) in shard.marginal(m).iter().zip(ids) {
+                self.id_buf[id as usize] += mass;
+            }
+        }
+        self.total = 0.0;
+        for (gsum, &odds) in self.id_buf.iter_mut().zip(&self.odds) {
+            if *gsum > 0.0 && odds > 0.0 {
+                *gsum = odds / *gsum;
+                self.total += odds;
+            } else {
+                *gsum = 0.0;
+            }
+        }
+        for (shard, ids) in scratch.iter_mut().zip(&self.slot_ids) {
+            for (factor, &id) in shard.marginal_mut(m).iter_mut().zip(ids) {
+                *factor = self.id_buf[id as usize];
+            }
+        }
+    }
 }
 
-/// Folds per-shard group masses **in shard order**, keeping the merge (and
-/// therefore the floating-point accumulation tree) thread-count-invariant.
-fn merge_group_masses<'a, I>(partials: I) -> DetHashMap<BitString, f64>
-where
-    I: IntoIterator<Item = &'a DetHashMap<BitString, f64>>,
-{
-    let mut group_mass: DetHashMap<BitString, f64> = DetHashMap::default();
-    for partial in partials {
-        for (key, mass) in partial {
-            *group_mass.entry(*key).or_insert(0.0) += mass;
-        }
-    }
-    group_mass
+/// One shard's round scratch: every marginal's slots, marginal after
+/// marginal, in one allocation that only the shard's worker writes.
+struct ShardScratch {
+    /// `slots[bounds[m]..bounds[m + 1]]` belong to marginal `m`.
+    bounds: Vec<usize>,
+    /// Each slot's group mass, then its posterior factor.
+    slots: Vec<f64>,
 }
 
-/// Builds the per-projection multipliers from merged group masses.
-fn update_factors(group_mass: &DetHashMap<BitString, f64>, marginal: &Marginal) -> UpdateFactors {
-    let mut factor: DetHashMap<BitString, f64> = DetHashMap::default();
-    let mut total = 0.0;
-    for (key, &gsum) in group_mass {
-        if gsum <= 0.0 {
-            continue;
-        }
-        // Clamp pr away from 1 so the odds stay finite (a marginal that is
-        // literally a point mass would otherwise divide by zero).
-        let pr = marginal.pmf.prob(key).min(1.0 - 1e-12);
-        if pr <= 0.0 {
-            continue;
-        }
-        let odds = pr / (1.0 - pr);
-        factor.insert(*key, odds / gsum);
-        total += odds;
+impl ShardScratch {
+    fn marginal(&self, m: usize) -> &[f64] {
+        &self.slots[self.bounds[m]..self.bounds[m + 1]]
     }
-    UpdateFactors { factor, total }
+
+    fn marginal_mut(&mut self, m: usize) -> &mut [f64] {
+        &mut self.slots[self.bounds[m]..self.bounds[m + 1]]
+    }
+}
+
+/// Rounds of fewer `support × marginals` updates than this run inline.
+///
+/// A hash-free update costs a few nanoseconds, so such a round takes at
+/// most a few milliseconds, and spawning a fresh team for each of its three
+/// passes eats the gain. On a 2-core host, 2-shard rounds of 8 105 entries
+/// × 40 marginals (GHZ-40 JigSaw-M) ran no faster on two workers than
+/// inline, and the per-round spawns raised the peak resident set of a
+/// process that reconstructs sweep after sweep by about a fifth.
+const INLINE_UPDATES: usize = 1 << 20;
+
+/// One reconstruction layer: the projection indices of its marginals over
+/// one fixed support, built once and reused by every round, and the
+/// per-shard scratch the rounds write.
+struct Layer {
+    indices: Vec<ProjectionIndex>,
+    scratch: Vec<ShardScratch>,
+    threads: usize,
+}
+
+impl Layer {
+    fn new(outcomes: &[BitString], marginals: &[Marginal], threads: usize) -> Self {
+        // Sub-shard supports (the common ≤24-qubit pipelines) and small
+        // rounds run inline: spawning the team would cost as much as the
+        // round. Thread count never affects the output, so this is a
+        // scheduling decision only.
+        let small = outcomes.len().saturating_mul(marginals.len()) < INLINE_UPDATES;
+        let threads = if outcomes.len() <= SHARD_SIZE || small { 1 } else { threads };
+        let indices: Vec<ProjectionIndex> =
+            fan_out(marginals.iter().collect(), threads, |m| ProjectionIndex::new(outcomes, m));
+        let scratch = (0..outcomes.len().div_ceil(SHARD_SIZE))
+            .map(|k| {
+                let mut bounds = vec![0];
+                let mut end = 0;
+                for index in &indices {
+                    end += index.slot_ids[k].len();
+                    bounds.push(end);
+                }
+                ShardScratch { bounds, slots: vec![0.0; end] }
+            })
+            .collect();
+        Self { indices, scratch, threads }
+    }
+
+    /// Every marginal's factors for the support weighted by `weights`: each
+    /// shard accumulates every marginal's group masses in entry order on
+    /// the team, then each marginal merges its shards in shard order.
+    fn update_factors(&mut self, weights: &[f64]) {
+        let indices = &self.indices;
+        let shards: Vec<_> =
+            weights.chunks(SHARD_SIZE).zip(&mut self.scratch).enumerate().collect();
+        fan_out(shards, self.threads, |(k, (shard, scratch))| {
+            for (m, index) in indices.iter().enumerate() {
+                let masses = scratch.marginal_mut(m);
+                masses.fill(0.0);
+                for (&s, &w) in index.shard_slots(k).iter().zip(shard) {
+                    masses[s as usize] += w;
+                }
+            }
+        });
+        for (m, index) in self.indices.iter_mut().enumerate() {
+            index.merge_factors(m, &mut self.scratch);
+        }
+    }
+
+    /// One round (Algorithm 1, lines 17–23) from `weights` into `out`:
+    /// every entry gains each marginal's normalised posterior
+    /// `prob · factor / total` in marginal order, then the sum is
+    /// normalised by its shard-ordered mass. Returns the Hellinger distance
+    /// `√(1 − Σ√(wᵢ·outᵢ))` between input and output, accumulated per shard
+    /// in the same pass as the normalisation.
+    fn run_round(&mut self, weights: &[f64], out: &mut [f64]) -> f64 {
+        self.update_factors(weights);
+        let (indices, scratch) = (&self.indices, &self.scratch);
+        let shards: Vec<_> = weights
+            .chunks(SHARD_SIZE)
+            .zip(out.chunks_mut(SHARD_SIZE))
+            .zip(scratch)
+            .enumerate()
+            .collect();
+        let masses = fan_out(shards, self.threads, |(k, ((shard, out), scratch))| {
+            out.copy_from_slice(shard);
+            for (m, index) in indices.iter().enumerate().filter(|(_, index)| index.total > 0.0) {
+                let factors = scratch.marginal(m);
+                for ((v, &prob), &s) in out.iter_mut().zip(shard).zip(index.shard_slots(k)) {
+                    *v += prob * factors[s as usize] / index.total;
+                }
+            }
+            out.iter().sum::<f64>()
+        });
+        let mass: f64 = masses.into_iter().sum();
+
+        let shards: Vec<_> = weights.chunks(SHARD_SIZE).zip(out.chunks_mut(SHARD_SIZE)).collect();
+        let overlaps = fan_out(shards, self.threads, |(shard, out)| {
+            if mass > 0.0 {
+                for v in out.iter_mut() {
+                    *v /= mass;
+                }
+            }
+            shard.iter().zip(out.iter()).map(|(a, b)| (a * b).sqrt()).sum::<f64>()
+        });
+        let bc: f64 = overlaps.into_iter().sum();
+        (1.0 - bc.min(1.0)).max(0.0).sqrt()
+    }
+
+    /// Every support entry's current factor under marginal `m`, in support
+    /// order.
+    fn entry_factors(&self, m: usize) -> impl Iterator<Item = f64> + '_ {
+        let index = &self.indices[m];
+        self.scratch.iter().enumerate().flat_map(move |(k, scratch)| {
+            let factors = scratch.marginal(m);
+            index.shard_slots(k).iter().map(move |&s| factors[s as usize])
+        })
+    }
+}
+
+/// Splits canonical entries into their outcomes and weights.
+fn split_entries(entries: &[(BitString, f64)]) -> (Vec<BitString>, Vec<f64>) {
+    entries.iter().copied().unzip()
+}
+
+/// Builds a PMF from outcomes in canonical order and their weights
+/// (deterministic insertion sequence, hence deterministic downstream
+/// iteration).
+fn pmf_from_canonical(n_bits: usize, outcomes: &[BitString], weights: &[f64]) -> Pmf {
+    let mut out = Pmf::new(n_bits);
+    for (b, &v) in outcomes.iter().zip(weights) {
+        out.set(*b, v);
+    }
+    out
 }
 
 /// One `Bayesian_Update` (Algorithm 1, lines 1–16): posterior of the prior
-/// `p` given one marginal, with both support passes sharded across
+/// `p` given one marginal, with the group-mass pass sharded across
 /// `threads` workers (`0` = all cores, `1` = serial). Bit-identical at every
 /// `threads` setting, because the shard layout is fixed.
 ///
@@ -226,26 +431,16 @@ fn update_factors(group_mass: &DetHashMap<BitString, f64>, marginal: &Marginal) 
 /// Panics if the marginal addresses qubits outside the prior's width.
 #[must_use]
 pub fn bayesian_update(p: &Pmf, marginal: &Marginal, threads: usize) -> Pmf {
-    let entries = p.sorted_entries();
-    // Pass 1 — group-mass accumulation, sharded then merged in shard order.
-    let partials = map_shards(&entries, threads, |shard| shard_group_masses(marginal, shard));
-    let factors = update_factors(&merge_group_masses(&partials), marginal);
-
-    // Pass 2 — posterior scaling, sharded; shards concatenate in order.
-    let scaled: Vec<Vec<(BitString, f64)>> = map_shards(&entries, threads, |shard| {
-        shard
-            .iter()
-            .filter_map(|(b, prob)| {
-                let f = factors.factor.get(&b.project(&marginal.qubits)).copied().unwrap_or(0.0);
-                let w = prob * f;
-                (w > 0.0).then(|| (*b, w / factors.total))
-            })
-            .collect()
-    });
-
+    let (outcomes, weights) = split_entries(&p.sorted_entries());
+    let mut layer = Layer::new(&outcomes, std::slice::from_ref(marginal), threads);
+    layer.update_factors(&weights);
     let mut posterior = Pmf::new(p.n_bits());
-    for (b, w) in scaled.into_iter().flatten() {
-        posterior.set(b, w);
+    let total = layer.indices[0].total;
+    for ((b, prob), factor) in outcomes.iter().zip(&weights).zip(layer.entry_factors(0)) {
+        let w = prob * factor;
+        if w > 0.0 {
+            posterior.set(*b, w / total);
+        }
     }
     posterior
 }
@@ -256,27 +451,23 @@ pub fn bayesian_update(p: &Pmf, marginal: &Marginal, threads: usize) -> Pmf {
 /// `threads` workers and bit-identical at every `threads` setting.
 #[must_use]
 pub fn reconstruction_round(p: &Pmf, marginals: &[Marginal], threads: usize) -> Pmf {
-    let entries = p.sorted_entries();
-    let out = reconstruction_round_over_entries(&entries, marginals, threads);
-    pmf_from_canonical_entries(p.n_bits(), out)
+    let (outcomes, weights) = split_entries(&p.sorted_entries());
+    let mut out = vec![0.0; weights.len()];
+    Layer::new(&outcomes, marginals, threads).run_round(&weights, &mut out);
+    pmf_from_canonical(p.n_bits(), &outcomes, &out)
 }
 
-/// One reconstruction round over the prior's canonical entry list — the
-/// allocation-lean core behind [`reconstruction_round`] and
-/// [`reconstruct`].
+/// One reconstruction round over the prior's canonical entry list.
 ///
 /// `entries` must be in canonical (ascending outcome) order with positive
 /// weights, exactly as [`Pmf::sorted_entries`] returns; the output is the
 /// normalised round result **in the same outcome sequence** (the round
-/// only reweights, never drops, observed outcomes), so iterated callers
-/// never re-sort or rebuild hash maps between rounds.
+/// only reweights, never drops, observed outcomes).
 ///
-/// The independent per-marginal group passes and the support shards form
-/// one flat `marginal × shard` work grid, so a round with few marginals
-/// over a huge support and a round with many marginals over a small support
-/// both saturate the team without nesting thread pools. The shard layout is
-/// fixed by the support size, so the output is bit-identical at every
-/// `threads` setting.
+/// Each call builds the marginals' projection indices before its round, so
+/// its time includes that one-time cost; [`reconstruct`] pays it once per
+/// layer and reuses it for every round. The output is bit-identical at
+/// every `threads` setting.
 #[must_use]
 pub fn reconstruction_round_over_entries(
     entries: &[(BitString, f64)],
@@ -287,110 +478,22 @@ pub fn reconstruction_round_over_entries(
         entries.windows(2).all(|w| w[0].0 < w[1].0),
         "entries must be in canonical ascending-outcome order"
     );
-    if marginals.is_empty() {
-        return normalize_entry_shards(
-            map_shards(entries, threads, <[(BitString, f64)]>::to_vec),
-            threads,
-        );
-    }
-    let shards: Vec<EntrySlice<'_>> = entries.chunks(SHARD_SIZE).collect();
-    let n_shards = shards.len();
-    // Sub-shard supports (the common ≤24-qubit pipelines) run inline: the
-    // per-round work is microseconds, so spawning the team for the
-    // marginal-indexed grid below would be pure overhead. Thread count
-    // never affects the output, so this is a scheduling decision only.
-    let threads = if n_shards <= 1 { 1 } else { threads };
-
-    // Phase 1 — every (marginal, shard) group pass is independent work.
-    let grid: Vec<(usize, EntrySlice<'_>)> =
-        (0..marginals.len()).flat_map(|mi| shards.iter().map(move |shard| (mi, *shard))).collect();
-    let partials = fan_out(grid, threads, |(mi, shard)| shard_group_masses(&marginals[mi], shard));
-
-    // Merge each marginal's partials in shard order (grid order groups them
-    // contiguously), then reduce to per-projection factors.
-    let factors: Vec<UpdateFactors> = marginals
-        .iter()
-        .enumerate()
-        .map(|(mi, m)| {
-            let merged = merge_group_masses(&partials[mi * n_shards..(mi + 1) * n_shards]);
-            update_factors(&merged, m)
-        })
-        .collect();
-
-    // Phase 2 — posterior scaling and the "+ P" accumulation fused into one
-    // sharded pass: every entry gains each marginal's normalised posterior
-    // contribution in marginal order.
-    let weighted: Vec<Vec<(BitString, f64)>> = map_shards(entries, threads, |shard| {
-        shard
-            .iter()
-            .map(|(b, prob)| {
-                let mut v = *prob;
-                for (m, f) in marginals.iter().zip(&factors) {
-                    if f.total > 0.0 {
-                        let fac = f.factor.get(&b.project(&m.qubits)).copied().unwrap_or(0.0);
-                        v += prob * fac / f.total;
-                    }
-                }
-                (*b, v)
-            })
-            .collect()
-    });
-
-    normalize_entry_shards(weighted, threads)
-}
-
-/// Phase 3 — normalise sharded entry lists: per-shard partial masses fold
-/// in shard order (thread-count-invariant), then every shard rescales on
-/// the team and the shards concatenate in order.
-fn normalize_entry_shards(
-    shards: Vec<Vec<(BitString, f64)>>,
-    threads: usize,
-) -> Vec<(BitString, f64)> {
-    let mass: f64 = shards.iter().map(|shard| shard.iter().map(|(_, v)| v).sum::<f64>()).sum();
-    if mass <= 0.0 {
-        return shards.into_iter().flatten().collect();
-    }
-    fan_out(shards, threads, |shard: Vec<(BitString, f64)>| {
-        shard.into_iter().map(|(b, v)| (b, v / mass)).collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Builds a PMF from entries already in canonical order (deterministic
-/// insertion sequence, hence deterministic downstream iteration).
-fn pmf_from_canonical_entries(n_bits: usize, entries: Vec<(BitString, f64)>) -> Pmf {
-    let mut out = Pmf::new(n_bits);
-    for (b, v) in entries {
-        out.set(b, v);
-    }
-    out
-}
-
-/// Hellinger distance `√(1 − Σ√(pᵢ·qᵢ))` between two *aligned* canonical
-/// entry lists (identical outcome sequences), computed shard-wise so the
-/// convergence check scales with the round itself.
-fn hellinger_aligned(a: &[(BitString, f64)], b: &[(BitString, f64)], threads: usize) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "aligned entry lists must have equal length");
-    let pairs: Vec<(EntrySlice<'_>, EntrySlice<'_>)> =
-        a.chunks(SHARD_SIZE).zip(b.chunks(SHARD_SIZE)).collect();
-    let partials = fan_out(pairs, threads, |(sa, sb)| {
-        sa.iter().zip(sb).map(|((_, pa), (_, pb))| (pa * pb).sqrt()).sum::<f64>()
-    });
-    let bc: f64 = partials.into_iter().sum();
-    (1.0 - bc.min(1.0)).max(0.0).sqrt()
+    let (outcomes, weights) = split_entries(entries);
+    let mut out = vec![0.0; weights.len()];
+    Layer::new(&outcomes, marginals, threads).run_round(&weights, &mut out);
+    outcomes.into_iter().zip(out).collect()
 }
 
 /// Iterated reconstruction: rounds repeat until the Hellinger distance
 /// between successive outputs drops below tolerance (§4.3's termination
-/// rule) or the round cap is reached.
+/// rule) or the round cap is reached. The result reports which, with the
+/// last round's distance.
 ///
-/// The loop stays in canonical-entries space — the prior is sorted once,
-/// each round runs [`reconstruction_round_over_entries`] on
-/// [`ReconstructionConfig::threads`] workers, and the output PMF is built
-/// once at the end — so per-round serial overhead is just the small factor
-/// merges. The result is bit-identical at every thread setting.
+/// The prior is sorted once and the marginals' projection indices are
+/// built once; every round then runs the hash-free kernel on
+/// [`ReconstructionConfig::threads`] workers between two weight buffers,
+/// and the output PMF is built once at the end. The result is
+/// bit-identical at every thread setting.
 #[must_use]
 pub fn reconstruct(
     p: &Pmf,
@@ -398,25 +501,26 @@ pub fn reconstruct(
     config: &ReconstructionConfig,
 ) -> Reconstruction {
     if marginals.is_empty() {
-        return Reconstruction { pmf: p.clone(), rounds: 0, converged: true };
+        return Reconstruction { pmf: p.clone(), rounds: 0, converged: true, distance: 0.0 };
     }
-    let mut entries = p.sorted_entries();
-    for round in 1..=config.max_rounds {
-        let next = reconstruction_round_over_entries(&entries, marginals, config.threads);
-        let distance = hellinger_aligned(&entries, &next, config.threads);
-        entries = next;
+    let (outcomes, mut weights) = split_entries(&p.sorted_entries());
+    let mut layer = Layer::new(&outcomes, marginals, config.threads);
+    let mut next = vec![0.0; weights.len()];
+    let mut rounds = 0;
+    let mut distance = f64::INFINITY;
+    while rounds < config.max_rounds {
+        distance = layer.run_round(&weights, &mut next);
+        std::mem::swap(&mut weights, &mut next);
+        rounds += 1;
         if distance < config.tolerance {
-            return Reconstruction {
-                pmf: pmf_from_canonical_entries(p.n_bits(), entries),
-                rounds: round,
-                converged: true,
-            };
+            break;
         }
     }
     Reconstruction {
-        pmf: pmf_from_canonical_entries(p.n_bits(), entries),
-        rounds: config.max_rounds,
-        converged: false,
+        pmf: pmf_from_canonical(p.n_bits(), &outcomes, &weights),
+        rounds,
+        converged: distance < config.tolerance,
+        distance,
     }
 }
 
@@ -493,6 +597,34 @@ mod tests {
         let p111 = result.pmf.prob(&bs("111"));
         assert!(p111 > 0.20 * 1.8, "p(111) = {p111}, expected ≥ 1.8× the prior 0.20");
         assert_eq!(result.pmf.mode(), Some(bs("111")));
+    }
+
+    #[test]
+    fn converged_run_reports_a_distance_below_tolerance() {
+        let config = ReconstructionConfig::default();
+        let r = reconstruct(&fig6_prior(), &[fig6_marginal()], &config);
+        assert!(r.converged);
+        assert!(r.rounds < config.max_rounds, "fig6 converges before the cap");
+        assert!(r.distance < config.tolerance, "distance {}", r.distance);
+    }
+
+    #[test]
+    fn round_cap_reports_not_converged_with_the_last_distance() {
+        let config = ReconstructionConfig { max_rounds: 2, ..ReconstructionConfig::default() };
+        let r = reconstruct(&fig6_prior(), &[fig6_marginal()], &config);
+        assert!(!r.converged);
+        assert_eq!(r.rounds, 2);
+        assert!(r.distance >= config.tolerance, "distance {}", r.distance);
+        assert!(r.distance.is_finite());
+    }
+
+    #[test]
+    fn no_round_reports_an_infinite_distance() {
+        let config = ReconstructionConfig { max_rounds: 0, ..ReconstructionConfig::default() };
+        let r = reconstruct(&fig6_prior(), &[fig6_marginal()], &config);
+        assert_eq!((r.rounds, r.converged), (0, false));
+        assert_eq!(r.distance, f64::INFINITY);
+        assert_eq!(r.pmf, fig6_prior());
     }
 
     #[test]
@@ -601,6 +733,8 @@ mod tests {
         let r = reconstruct(&p, &[], &ReconstructionConfig::default());
         assert_eq!(r.pmf, p);
         assert_eq!(r.rounds, 0);
+        assert!(r.converged);
+        assert_eq!(r.distance, 0.0);
     }
 
     #[test]
@@ -609,6 +743,40 @@ mod tests {
         let p = fig6_prior();
         let r = reconstruct(&p, &[fig6_marginal()], &ReconstructionConfig::default());
         assert!(r.pmf.support_size() <= p.support_size());
+    }
+
+    #[test]
+    fn rounds_above_the_inline_threshold_run_on_the_team_bit_identically() {
+        // Five shards and just enough 2-qubit marginals to cross the
+        // threshold; `i · odd mod 2⁴⁰` keeps the outcomes distinct.
+        let n = 4 * SHARD_SIZE + 3;
+        let p: Pmf = (0..n as u64)
+            .map(|i| {
+                let outcome = i.wrapping_mul(0x9E37_79B9) & ((1 << 40) - 1);
+                (BitString::from_u64(outcome, 40), 1.0 + (i % 7) as f64)
+            })
+            .collect();
+        let marginals: Vec<Marginal> = (0..INLINE_UPDATES / n + 1)
+            .map(|i| {
+                let a = i % 40;
+                let b = (a + 1 + (i / 40) % 39) % 40;
+                let mut local = Pmf::new(2);
+                for v in 0..4u64 {
+                    local.set(BitString::from_u64(v, 2), 1.0 + ((i as u64 + v) % 5) as f64);
+                }
+                local.normalize();
+                Marginal::new(vec![a.min(b), a.max(b)], local)
+            })
+            .collect();
+        let (outcomes, _) = split_entries(&p.sorted_entries());
+        assert_eq!(Layer::new(&outcomes, &marginals, 2).threads, 2, "team above the threshold");
+        assert_eq!(Layer::new(&outcomes, &marginals[..1], 2).threads, 1, "inline below it");
+
+        let config = ReconstructionConfig { tolerance: 0.0, max_rounds: 2, threads: 1 };
+        let serial = reconstruct(&p, &marginals, &config);
+        for threads in [0, 2, 3] {
+            assert_eq!(serial, reconstruct(&p, &marginals, &config.with_threads(threads)));
+        }
     }
 
     #[test]

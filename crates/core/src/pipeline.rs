@@ -968,6 +968,9 @@ impl CpmsRun {
             let members: Vec<Marginal> =
                 self.marginals.iter().filter(|m| m.size() == layer.size).cloned().collect();
             let r = reconstruct(&current, &members, &reconstruction);
+            // A layer the round cap stopped is reported, not hidden.
+            crate::telemetry::reconstruct_layers(r.converged).inc();
+            crate::telemetry::reconstruct_rounds().add(r.rounds as u64);
             current = r.pmf;
             rounds += r.rounds;
         }
@@ -1449,6 +1452,25 @@ mod tests {
             compiler: CompilerOptions { max_seeds: 4, ..CompilerOptions::default() },
             ..JigsawConfig::jigsaw(trials)
         }
+    }
+
+    #[test]
+    fn every_reconstructed_layer_is_counted_with_its_outcome() {
+        // Sibling tests reconstruct concurrently, so the global counters
+        // can only be bounded from below by this run's own layers.
+        let layers = || {
+            crate::telemetry::reconstruct_layers(true).get()
+                + crate::telemetry::reconstruct_layers(false).get()
+        };
+        let (layers_before, rounds_before) =
+            (layers(), crate::telemetry::reconstruct_rounds().get());
+        let config = JigsawConfig { subset_sizes: vec![3, 2], ..quick_config(2000) };
+        let result = run_jigsaw(bench::ghz(6).circuit(), &Device::toronto(), &config);
+        assert!(layers() >= layers_before + 2);
+        let rounds = crate::telemetry::reconstruct_rounds().get();
+        assert!(rounds >= rounds_before + result.rounds as u64);
+        let text = crate::telemetry::global().render_text();
+        assert!(text.contains("jigsaw_reconstruct_layers_total{converged="), "{text}");
     }
 
     #[test]

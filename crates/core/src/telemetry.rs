@@ -6,7 +6,8 @@
 //! has executed. This module promotes the per-run records into that view —
 //! every stage transition the pipeline records is also observed into the
 //! process-global registry ([`global`]) as a histogram keyed by stage
-//! name, next to the scheduler and distributed-sweep families.
+//! name, next to the scheduler, distributed-sweep and reconstruction
+//! convergence families.
 //!
 //! Serving counters are scoped tighter: each job server builds its own
 //! [`Registry`] for its connection and cache counters, so two servers in
@@ -279,6 +280,24 @@ pub fn dist_shards(outcome: &str) -> Counter {
 #[must_use]
 pub fn dist_retries() -> Counter {
     global().counter("jigsaw_dist_retries_total", &[])
+}
+
+/// Reconstruction layer outcome counter
+/// (`jigsaw_reconstruct_layers_total{converged=...}`): one per
+/// hierarchical layer a pipeline reconstructs, labelled `"yes"` when the
+/// Hellinger tolerance was met within the round cap and `"no"` when the cap
+/// stopped it.
+#[must_use]
+pub fn reconstruct_layers(converged: bool) -> Counter {
+    let label = if converged { "yes" } else { "no" };
+    global().counter("jigsaw_reconstruct_layers_total", &[("converged", label)])
+}
+
+/// Reconstruction round counter (`jigsaw_reconstruct_rounds_total`):
+/// rounds executed across every reconstructed layer.
+#[must_use]
+pub fn reconstruct_rounds() -> Counter {
+    global().counter("jigsaw_reconstruct_rounds_total", &[])
 }
 
 /// The process-wide registry singleton.

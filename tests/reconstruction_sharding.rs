@@ -1,8 +1,9 @@
 //! Property suite for the sharded reconstruction path: serial and parallel
 //! execution must produce **bit-identical** PMFs — the same bar
 //! `tests/parallel_determinism.rs` sets for the executor — across thread
-//! counts, support sizes (spanning several shard boundaries), marginal
-//! counts and subset widths, including degenerate point-mass marginals.
+//! counts, support sizes (spanning several shard boundaries, for single
+//! rounds, single updates and iterated reconstruction), marginal counts and
+//! subset widths, including degenerate point-mass marginals.
 
 use jigsaw_bench::synthetic::{global_pmf, marginal};
 use jigsaw_repro::core::{
@@ -85,6 +86,34 @@ fn multi_shard_supports_are_bit_identical_across_thread_counts() {
             assert_eq!(
                 serial,
                 reconstruction_round(&p, &ms, threads),
+                "entries = {entries}, threads = {threads}"
+            );
+        }
+    }
+}
+
+/// Iterated reconstruction and single updates over multi-shard supports:
+/// every round re-merges the per-shard group masses, so the cross-shard
+/// merge must stay thread-count-invariant round after round, not just once.
+/// Rounds under 2²⁰ support × marginal updates run inline at any thread
+/// setting; the last case crosses that line, so its rounds run on the team.
+#[test]
+fn multi_shard_iteration_is_bit_identical_across_thread_counts() {
+    for (entries, marginal_count) in
+        [(SHARD_SIZE + 1, 5), (3 * SHARD_SIZE + 17, 3), (4 * SHARD_SIZE + 3, 65)]
+    {
+        let p = global_pmf(40, entries, 11);
+        let ms: Vec<Marginal> =
+            (0..marginal_count).map(|i| marginal(40, 2 + i % 4, i == 1, 90 + i as u64)).collect();
+        let config = ReconstructionConfig { tolerance: 1e-6, max_rounds: 12, threads: 1 };
+        let serial = reconstruct(&p, &ms, &config);
+        let serial_update = bayesian_update(&p, &ms[0], 1);
+        for threads in THREAD_COUNTS {
+            let parallel = reconstruct(&p, &ms, &config.with_threads(threads));
+            assert_eq!(serial, parallel, "entries = {entries}, threads = {threads}");
+            assert_eq!(
+                serial_update,
+                bayesian_update(&p, &ms[0], threads),
                 "entries = {entries}, threads = {threads}"
             );
         }
