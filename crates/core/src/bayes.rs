@@ -23,8 +23,7 @@
 //! Because the shard layout depends only on the support size — never on
 //! the worker count — serial and parallel execution produce
 //! **bit-identical** output at every thread setting (enforced by
-//! `tests/reconstruction_sharding.rs`). Single-shard supports, and rounds
-//! too small to repay spawning the team, run inline.
+//! `tests/reconstruction_sharding.rs`). Single-shard supports run inline.
 //!
 //! A round only reweights the support, so within one layer the outcomes —
 //! and every marginal's subset projection of them — never change. Each call
@@ -284,16 +283,6 @@ impl ShardScratch {
     }
 }
 
-/// Rounds of fewer `support × marginals` updates than this run inline.
-///
-/// A hash-free update costs a few nanoseconds, so such a round takes at
-/// most a few milliseconds, and spawning a fresh team for each of its three
-/// passes eats the gain. On a 2-core host, 2-shard rounds of 8 105 entries
-/// × 40 marginals (GHZ-40 JigSaw-M) ran no faster on two workers than
-/// inline, and the per-round spawns raised the peak resident set of a
-/// process that reconstructs sweep after sweep by about a fifth.
-const INLINE_UPDATES: usize = 1 << 20;
-
 /// One reconstruction layer: the projection indices of its marginals over
 /// one fixed support, built once and reused by every round, and the
 /// per-shard scratch the rounds write.
@@ -305,12 +294,10 @@ struct Layer {
 
 impl Layer {
     fn new(outcomes: &[BitString], marginals: &[Marginal], threads: usize) -> Self {
-        // Sub-shard supports (the common ≤24-qubit pipelines) and small
-        // rounds run inline: spawning the team would cost as much as the
-        // round. Thread count never affects the output, so this is a
-        // scheduling decision only.
-        let small = outcomes.len().saturating_mul(marginals.len()) < INLINE_UPDATES;
-        let threads = if outcomes.len() <= SHARD_SIZE || small { 1 } else { threads };
+        // Sub-shard supports (the common ≤24-qubit pipelines) run inline:
+        // there is one shard to work on. Thread count never affects the
+        // output, so this is a scheduling decision only.
+        let threads = if outcomes.len() <= SHARD_SIZE { 1 } else { threads };
         let indices: Vec<ProjectionIndex> =
             fan_out(marginals.iter().collect(), threads, |m| ProjectionIndex::new(outcomes, m));
         let scratch = (0..outcomes.len().div_ceil(SHARD_SIZE))
@@ -417,8 +404,9 @@ fn pmf_from_canonical(n_bits: usize, outcomes: &[BitString], weights: &[f64]) ->
 
 /// One `Bayesian_Update` (Algorithm 1, lines 1–16): posterior of the prior
 /// `p` given one marginal, with the group-mass pass sharded across
-/// `threads` workers (`0` = all cores, `1` = serial). Bit-identical at every
-/// `threads` setting, because the shard layout is fixed.
+/// `threads` workers (`0` = all cores, `1` = serial; a single-shard prior
+/// runs inline). Bit-identical at every `threads` setting, because the
+/// shard layout is fixed.
 ///
 /// For every prior outcome `Bx`, its update coefficient is `p(Bx)`
 /// normalised within the group of outcomes sharing `Bx`'s subset
@@ -743,40 +731,6 @@ mod tests {
         let p = fig6_prior();
         let r = reconstruct(&p, &[fig6_marginal()], &ReconstructionConfig::default());
         assert!(r.pmf.support_size() <= p.support_size());
-    }
-
-    #[test]
-    fn rounds_above_the_inline_threshold_run_on_the_team_bit_identically() {
-        // Five shards and just enough 2-qubit marginals to cross the
-        // threshold; `i · odd mod 2⁴⁰` keeps the outcomes distinct.
-        let n = 4 * SHARD_SIZE + 3;
-        let p: Pmf = (0..n as u64)
-            .map(|i| {
-                let outcome = i.wrapping_mul(0x9E37_79B9) & ((1 << 40) - 1);
-                (BitString::from_u64(outcome, 40), 1.0 + (i % 7) as f64)
-            })
-            .collect();
-        let marginals: Vec<Marginal> = (0..INLINE_UPDATES / n + 1)
-            .map(|i| {
-                let a = i % 40;
-                let b = (a + 1 + (i / 40) % 39) % 40;
-                let mut local = Pmf::new(2);
-                for v in 0..4u64 {
-                    local.set(BitString::from_u64(v, 2), 1.0 + ((i as u64 + v) % 5) as f64);
-                }
-                local.normalize();
-                Marginal::new(vec![a.min(b), a.max(b)], local)
-            })
-            .collect();
-        let (outcomes, _) = split_entries(&p.sorted_entries());
-        assert_eq!(Layer::new(&outcomes, &marginals, 2).threads, 2, "team above the threshold");
-        assert_eq!(Layer::new(&outcomes, &marginals[..1], 2).threads, 1, "inline below it");
-
-        let config = ReconstructionConfig { tolerance: 0.0, max_rounds: 2, threads: 1 };
-        let serial = reconstruct(&p, &marginals, &config);
-        for threads in [0, 2, 3] {
-            assert_eq!(serial, reconstruct(&p, &marginals, &config.with_threads(threads)));
-        }
     }
 
     #[test]
