@@ -263,7 +263,7 @@ pub fn execute_shard(stage: &SubsetsSelected, shard: &Shard) -> ShardPartial {
             counts: stage.run_cpm_item_counts(item),
         })
         .collect();
-    let compiles = stage.cpm_compiles(items.len());
+    let compiles = stage.ctx().cpm_compiles(items.len());
     ShardPartial { shard_index: shard.index, lo: shard.lo, hi: shard.hi, compiles, histograms }
 }
 

@@ -250,13 +250,71 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    fn record(&mut self, record: StageRecord) {
+    /// Runs one stage transition and records it: `work` gets this context
+    /// and returns the transition's output with the stage's record, whose
+    /// `wall` is set here to the time `work` took.
+    fn timed<T>(&mut self, work: impl FnOnce(&Self) -> (T, StageRecord)) -> T {
+        // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
+        let t0 = Instant::now();
+        let (out, record) = work(self);
+        let record = StageRecord { wall: t0.elapsed(), ..record };
         // Promote the per-run record into the process-wide registry, so a
         // long-running service aggregates stage walls across every job it
         // has executed (see `crate::telemetry`). Purely observational:
         // nothing feeds back into the run.
         crate::telemetry::global().observe_stage(record.stage, record.wall);
         self.timings.push(record);
+        out
+    }
+
+    /// The CPM work list of `layers`; see [`SubsetsSelected::cpm_work`].
+    fn cpm_work(&self, layers: &[SubsetLayer]) -> Vec<CpmWork> {
+        let mut work = Vec::new();
+        let mut cpm_index = 0u64;
+        for layer in layers {
+            let per_cpm = (layer.budget / layer.subsets.len().max(1) as u64).max(1);
+            for subset in &layer.subsets {
+                work.push(CpmWork {
+                    subset: subset.clone(),
+                    trials: per_cpm,
+                    seed: seed::cpm(self.config.seed, cpm_index),
+                });
+                cpm_index += 1;
+            }
+        }
+        work
+    }
+
+    /// One CPM's marginal; see [`SubsetsSelected::run_cpm_item`].
+    fn run_cpm(&self, global: &Compiled, item: &CpmWork) -> Marginal {
+        Marginal::new(item.subset.clone(), self.cpm_counts(global, item).to_pmf())
+    }
+
+    /// One CPM's histogram; see [`SubsetsSelected::run_cpm_item_counts`].
+    fn cpm_counts(&self, global: &Compiled, item: &CpmWork) -> jigsaw_pmf::Counts {
+        // Inner executor runs and CPM placement searches stay serial: the
+        // fan-out already uses the worker team, and nested teams would
+        // oversubscribe cores.
+        let cpm_compiler = CompilerOptions { threads: 1, ..self.config.compiler };
+        let cpm_run = self.config.run.with_seed(item.seed).with_threads(1);
+        let artifact = if self.config.recompile_cpms {
+            CpmArtifact::recompiled(&self.program, &item.subset, &self.device, &cpm_compiler)
+        } else {
+            CpmArtifact::reusing(global, &item.subset)
+        };
+        Executor::new(&self.device).run(&artifact.circuit, item.trials, &cpm_run)
+    }
+
+    /// Compilations running `items` CPM work items costs: one each when
+    /// the config recompiles CPMs, none when they reuse the global mapping.
+    /// The stage record and shard partials both count this way, so every
+    /// execution path reports the same number.
+    pub(crate) fn cpm_compiles(&self, items: usize) -> u64 {
+        if self.config.recompile_cpms {
+            items as u64
+        } else {
+            0
+        }
     }
 
     /// The inputs the archive config digest covers (see [`crate::persist`]).
@@ -344,38 +402,39 @@ impl JigsawPipeline {
         device: &Device,
         config: &JigsawConfig,
     ) -> Result<Planned, PlanError> {
-        // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
-        let t0 = Instant::now();
-        if !program.measurements().is_empty() {
-            return Err(PlanError::Premeasured);
-        }
-        if program.n_qubits() > device.n_qubits() {
-            return Err(PlanError::WiderThanDevice {
-                program: program.n_qubits(),
-                device: device.n_qubits(),
-            });
-        }
-        let plan = BudgetPlan::try_for_config(config, program.n_qubits())
-            .ok_or(PlanError::NoFittingSubsetSize { program: program.n_qubits() })?;
         let mut ctx = Ctx {
             program: program.clone(),
             device: device.clone(),
             config: config.clone(),
-            plan,
+            plan: BudgetPlan { global_trials: 0, subset_trials: 0, sizes: Vec::new() },
             timings: StageTimings::default(),
         };
-        let items = ctx.plan.sizes.len();
-        ctx.record(StageRecord {
-            stage: StageName::Plan,
-            wall: t0.elapsed(),
-            // Planning executes nothing; summing `trials` across records
-            // must equal the trials actually run.
-            trials: 0,
-            compiles: 0,
-            items,
-            backend: None,
-            support: None,
-        });
+        ctx.plan = ctx.timed(|ctx| {
+            let (program, device) = (&ctx.program, &ctx.device);
+            let plan = if !program.measurements().is_empty() {
+                Err(PlanError::Premeasured)
+            } else if program.n_qubits() > device.n_qubits() {
+                Err(PlanError::WiderThanDevice {
+                    program: program.n_qubits(),
+                    device: device.n_qubits(),
+                })
+            } else {
+                BudgetPlan::try_for_config(&ctx.config, program.n_qubits())
+                    .ok_or(PlanError::NoFittingSubsetSize { program: program.n_qubits() })
+            };
+            let record = StageRecord {
+                stage: StageName::Plan,
+                wall: Duration::ZERO,
+                // Planning executes nothing; summing `trials` across
+                // records must equal the trials actually run.
+                trials: 0,
+                compiles: 0,
+                items: plan.as_ref().map_or(0, |plan| plan.sizes.len()),
+                backend: None,
+                support: None,
+            };
+            (plan, record)
+        })?;
         Ok(Planned { ctx })
     }
 }
@@ -414,19 +473,20 @@ impl Planned {
     /// succeeds.
     #[must_use]
     pub fn compile_global(mut self) -> GlobalCompiled {
-        // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
-        let t0 = Instant::now();
-        let mut global_logical = self.ctx.program.clone();
-        global_logical.measure_all();
-        let global = compile(&global_logical, &self.ctx.device, &self.ctx.config.compiler);
-        self.ctx.record(StageRecord {
-            stage: StageName::CompileGlobal,
-            wall: t0.elapsed(),
-            trials: 0,
-            compiles: 1,
-            items: 1,
-            backend: None,
-            support: None,
+        let global = self.ctx.timed(|ctx| {
+            let mut global_logical = ctx.program.clone();
+            global_logical.measure_all();
+            let global = compile(&global_logical, &ctx.device, &ctx.config.compiler);
+            let record = StageRecord {
+                stage: StageName::CompileGlobal,
+                wall: Duration::ZERO,
+                trials: 0,
+                compiles: 1,
+                items: 1,
+                backend: None,
+                support: None,
+            };
+            (global, record)
         });
         GlobalCompiled { ctx: self.ctx, global }
     }
@@ -487,26 +547,25 @@ impl GlobalCompiled {
     /// Stage 2: executes the global mode and produces the prior PMF.
     #[must_use]
     pub fn run_global(mut self) -> GlobalRun {
-        // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
-        let t0 = Instant::now();
-        let executor = Executor::new(&self.ctx.device);
-        let backend = executor.backend_for(self.global.circuit(), &self.ctx.config.run);
-        let counts = executor.run(
-            self.global.circuit(),
-            self.ctx.plan.global_trials,
-            &self.ctx.config.run.with_seed(seed::global_run(self.ctx.config.seed)),
-        );
-        let global_pmf = counts.to_pmf();
-        let trials = self.ctx.plan.global_trials;
-        let support = global_pmf.support_size();
-        self.ctx.record(StageRecord {
-            stage: StageName::RunGlobal,
-            wall: t0.elapsed(),
-            trials,
-            compiles: 0,
-            items: 1,
-            backend: Some(backend),
-            support: Some(support),
+        let (global_pmf, backend) = self.ctx.timed(|ctx| {
+            let executor = Executor::new(&ctx.device);
+            let backend = executor.backend_for(self.global.circuit(), &ctx.config.run);
+            let counts = executor.run(
+                self.global.circuit(),
+                ctx.plan.global_trials,
+                &ctx.config.run.with_seed(seed::global_run(ctx.config.seed)),
+            );
+            let global_pmf = counts.to_pmf();
+            let record = StageRecord {
+                stage: StageName::RunGlobal,
+                wall: Duration::ZERO,
+                trials: ctx.plan.global_trials,
+                compiles: 0,
+                items: 1,
+                backend: Some(backend),
+                support: Some(global_pmf.support_size()),
+            };
+            ((global_pmf, backend), record)
         });
         GlobalRun { ctx: self.ctx, global: self.global, global_pmf, backend }
     }
@@ -618,24 +677,22 @@ impl GlobalRun {
     /// exist.
     #[must_use]
     pub fn select_subsets(self) -> SubsetsSelected {
-        // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
-        let t0 = Instant::now();
-        let n = self.ctx.program.n_qubits();
-        let config_seed = self.ctx.config.seed;
-        let sizes = &self.ctx.plan.sizes;
-        let per_size: Vec<Vec<Vec<usize>>> = match self.ctx.config.selection {
-            // One entropy/MI model serves every size layer.
-            SubsetSelection::Adaptive => {
-                adaptive_layers(&self.global_pmf, sizes, self.ctx.config.run.threads)
-            }
-            other => sizes
-                .iter()
-                .map(|&size| generate(n, size, other, seed::subset_layer(config_seed, size)))
-                .collect(),
-        };
-        let layers: Vec<(usize, Vec<Vec<usize>>)> =
-            sizes.clone().into_iter().zip(per_size).collect();
-        self.select_with_layers(layers, t0)
+        self.select_with_layers(|ctx, global_pmf| {
+            let n = ctx.program.n_qubits();
+            let config_seed = ctx.config.seed;
+            let sizes = &ctx.plan.sizes;
+            let per_size: Vec<Vec<Vec<usize>>> = match ctx.config.selection {
+                // One entropy/MI model serves every size layer.
+                SubsetSelection::Adaptive => {
+                    adaptive_layers(global_pmf, sizes, ctx.config.run.threads)
+                }
+                other => sizes
+                    .iter()
+                    .map(|&size| generate(n, size, other, seed::subset_layer(config_seed, size)))
+                    .collect(),
+            };
+            sizes.clone().into_iter().zip(per_size).collect()
+        })
     }
 
     /// Stage 3, caller-steered: uses the given subsets instead of a
@@ -648,75 +705,84 @@ impl GlobalRun {
     /// or out-of-range qubits, or measures the whole program.
     #[must_use]
     pub fn override_subsets(self, subsets: Vec<Vec<usize>>) -> SubsetsSelected {
-        // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
-        let t0 = Instant::now();
-        let n = self.ctx.program.n_qubits();
-        assert!(!subsets.is_empty(), "override_subsets needs at least one subset");
-        let mut by_size: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
-        for mut subset in subsets {
-            subset.sort_unstable();
-            assert!(!subset.is_empty(), "a CPM must measure at least one qubit");
-            assert!(subset.len() < n, "a CPM of all {n} qubits is the global mode");
-            assert!(*subset.last().expect("non-empty") < n, "subset {subset:?} out of range");
-            assert!(subset.windows(2).all(|w| w[0] != w[1]), "subset {subset:?} has duplicates");
-            match by_size.iter_mut().find(|(s, _)| *s == subset.len()) {
-                Some((_, list)) => list.push(subset),
-                None => by_size.push((subset.len(), vec![subset])),
+        self.select_with_layers(|ctx, _| {
+            let n = ctx.program.n_qubits();
+            assert!(!subsets.is_empty(), "override_subsets needs at least one subset");
+            let mut by_size: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
+            for mut subset in subsets {
+                subset.sort_unstable();
+                assert!(!subset.is_empty(), "a CPM must measure at least one qubit");
+                assert!(subset.len() < n, "a CPM of all {n} qubits is the global mode");
+                assert!(*subset.last().expect("non-empty") < n, "subset {subset:?} out of range");
+                assert!(
+                    subset.windows(2).all(|w| w[0] != w[1]),
+                    "subset {subset:?} has duplicates"
+                );
+                match by_size.iter_mut().find(|(s, _)| *s == subset.len()) {
+                    Some((_, list)) => list.push(subset),
+                    None => by_size.push((subset.len(), vec![subset])),
+                }
             }
-        }
-        by_size.sort_unstable_by_key(|layer| std::cmp::Reverse(layer.0));
-        self.select_with_layers(by_size, t0)
+            by_size.sort_unstable_by_key(|layer| std::cmp::Reverse(layer.0));
+            by_size
+        })
     }
 
+    /// Stage 3 proper: `select` lists the subsets per size layer (given the
+    /// context and the global PMF); the layers are then budgeted, and both
+    /// steps are timed as the stage.
     fn select_with_layers(
         mut self,
-        lists: Vec<(usize, Vec<Vec<usize>>)>,
-        t0: Instant,
+        select: impl FnOnce(&Ctx, &Pmf) -> Vec<(usize, Vec<Vec<usize>>)>,
     ) -> SubsetsSelected {
-        let cpm_count: usize = lists.iter().map(|(_, subs)| subs.len()).sum();
-        let subset_trials = self.ctx.plan.subset_trials;
+        let layers = self.ctx.timed(|ctx| {
+            let lists = select(ctx, &self.global_pmf);
+            let cpm_count: usize = lists.iter().map(|(_, subs)| subs.len()).sum();
+            let subset_trials = ctx.plan.subset_trials;
 
-        // Per-layer budgets. Equal split is the paper's default; the
-        // coverage-weighted split (Appendix A.2's "fine-tuned" option)
-        // gives a size-s CPM budget proportional to its outcome-coverage
-        // need.
-        let layers: Vec<SubsetLayer> = match self.ctx.config.allocation {
-            TrialAllocation::Equal => {
-                let per = (subset_trials / cpm_count.max(1) as u64).max(1);
-                lists
-                    .into_iter()
-                    .map(|(size, subsets)| {
-                        let budget = per * subsets.len() as u64;
-                        SubsetLayer { size, subsets, budget }
-                    })
-                    .collect()
-            }
-            TrialAllocation::CoverageWeighted { confidence } => {
-                let weights: Vec<f64> = lists
-                    .iter()
-                    .map(|(s, subs)| {
-                        crate::trials::cpm_trials(*s, confidence) as f64 * subs.len() as f64
-                    })
-                    .collect();
-                let total_weight: f64 = weights.iter().sum();
-                lists
-                    .into_iter()
-                    .zip(weights)
-                    .map(|((size, subsets), w)| {
-                        let budget = ((subset_trials as f64 * w / total_weight) as u64).max(1);
-                        SubsetLayer { size, subsets, budget }
-                    })
-                    .collect()
-            }
-        };
-        self.ctx.record(StageRecord {
-            stage: StageName::SelectSubsets,
-            wall: t0.elapsed(),
-            trials: 0,
-            compiles: 0,
-            items: cpm_count,
-            backend: None,
-            support: None,
+            // Per-layer budgets. Equal split is the paper's default; the
+            // coverage-weighted split (Appendix A.2's "fine-tuned" option)
+            // gives a size-s CPM budget proportional to its outcome-coverage
+            // need.
+            let layers: Vec<SubsetLayer> = match ctx.config.allocation {
+                TrialAllocation::Equal => {
+                    let per = (subset_trials / cpm_count.max(1) as u64).max(1);
+                    lists
+                        .into_iter()
+                        .map(|(size, subsets)| {
+                            let budget = per * subsets.len() as u64;
+                            SubsetLayer { size, subsets, budget }
+                        })
+                        .collect()
+                }
+                TrialAllocation::CoverageWeighted { confidence } => {
+                    let weights: Vec<f64> = lists
+                        .iter()
+                        .map(|(s, subs)| {
+                            crate::trials::cpm_trials(*s, confidence) as f64 * subs.len() as f64
+                        })
+                        .collect();
+                    let total_weight: f64 = weights.iter().sum();
+                    lists
+                        .into_iter()
+                        .zip(weights)
+                        .map(|((size, subsets), w)| {
+                            let budget = ((subset_trials as f64 * w / total_weight) as u64).max(1);
+                            SubsetLayer { size, subsets, budget }
+                        })
+                        .collect()
+                }
+            };
+            let record = StageRecord {
+                stage: StageName::SelectSubsets,
+                wall: Duration::ZERO,
+                trials: 0,
+                compiles: 0,
+                items: cpm_count,
+                backend: None,
+                support: None,
+            };
+            (layers, record)
         });
         SubsetsSelected {
             ctx: self.ctx,
@@ -776,20 +842,7 @@ impl SubsetsSelected {
     /// any schedule that preserves item order reproduces it bit-for-bit.
     #[must_use]
     pub fn cpm_work(&self) -> Vec<CpmWork> {
-        let mut work = Vec::new();
-        let mut cpm_index = 0u64;
-        for layer in &self.layers {
-            let per_cpm = (layer.budget / layer.subsets.len().max(1) as u64).max(1);
-            for subset in &layer.subsets {
-                work.push(CpmWork {
-                    subset: subset.clone(),
-                    trials: per_cpm,
-                    seed: seed::cpm(self.ctx.config.seed, cpm_index),
-                });
-                cpm_index += 1;
-            }
-        }
-        work
+        self.ctx.cpm_work(&self.layers)
     }
 
     /// Compiles (or derives from the global artifact) and executes one CPM
@@ -798,7 +851,7 @@ impl SubsetsSelected {
     /// runs — the property cross-job batching rests on.
     #[must_use]
     pub fn run_cpm_item(&self, item: &CpmWork) -> Marginal {
-        Marginal::new(item.subset.clone(), self.run_cpm_item_counts(item).to_pmf())
+        self.ctx.run_cpm(&self.global, item)
     }
 
     /// The raw histogram behind [`Self::run_cpm_item`] — the unit a
@@ -808,36 +861,7 @@ impl SubsetsSelected {
     /// and normalising at the merge preserves bit-identity.
     #[must_use]
     pub fn run_cpm_item_counts(&self, item: &CpmWork) -> jigsaw_pmf::Counts {
-        let config = &self.ctx.config;
-        // Inner executor runs and CPM placement searches stay serial: the
-        // fan-out already uses the worker team, and nested teams would
-        // oversubscribe cores.
-        let cpm_compiler = CompilerOptions { threads: 1, ..config.compiler };
-        let cpm_run = config.run.with_seed(item.seed).with_threads(1);
-        let artifact = if config.recompile_cpms {
-            CpmArtifact::recompiled(
-                &self.ctx.program,
-                &item.subset,
-                &self.ctx.device,
-                &cpm_compiler,
-            )
-        } else {
-            CpmArtifact::reusing(&self.global, &item.subset)
-        };
-        Executor::new(&self.ctx.device).run(&artifact.circuit, item.trials, &cpm_run)
-    }
-
-    /// Compilations running `items` CPM work items costs: one each when
-    /// the config recompiles CPMs, none when they reuse the global mapping.
-    /// The stage record and shard partials both count this way, so every
-    /// execution path reports the same number.
-    #[must_use]
-    pub(crate) fn cpm_compiles(&self, items: usize) -> u64 {
-        if self.ctx.config.recompile_cpms {
-            items as u64
-        } else {
-            0
-        }
+        self.ctx.cpm_counts(&self.global, item)
     }
 
     /// The persist config digest of the producing `(program, device,
@@ -855,12 +879,11 @@ impl SubsetsSelected {
     /// count reproduces the serial histograms bit-for-bit.
     #[must_use]
     pub fn run_cpms(self) -> CpmsRun {
-        let work = self.cpm_work();
-        let marginals: Vec<Marginal> =
-            jigsaw_pmf::parallel::fan_out(work, self.ctx.config.run.threads, |item| {
-                self.run_cpm_item(&item)
-            });
-        self.finish_cpms(marginals)
+        self.execute_cpms(|ctx, global, work| {
+            jigsaw_pmf::parallel::fan_out(work, ctx.config.run.threads, |item| {
+                ctx.run_cpm(global, &item)
+            })
+        })
     }
 
     /// Stage 4 completion: installs externally computed CPM marginals —
@@ -868,33 +891,46 @@ impl SubsetsSelected {
     /// in work-list order — and records the stage. The semantic stage
     /// record (trials, compiles, items) is derived from the work list, so a
     /// batched execution encodes byte-identically to [`Self::run_cpms`].
+    /// The record's wall covers only this driver-side bookkeeping: the
+    /// marginals were computed elsewhere, outside the stage's clock.
     ///
     /// # Panics
     ///
     /// Panics if `marginals` does not have one entry per work item.
     #[must_use]
-    pub fn finish_cpms(mut self, marginals: Vec<Marginal>) -> CpmsRun {
-        // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
-        let t0 = Instant::now();
-        let work = self.cpm_work();
-        assert_eq!(
-            marginals.len(),
-            work.len(),
-            "finish_cpms needs exactly one marginal per work item"
-        );
-        let cpm_trials: u64 = work.iter().map(|w| w.trials).sum();
-        let trials_used = self.ctx.plan.global_trials + cpm_trials;
-        let items = marginals.len();
-        let compiles = self.cpm_compiles(items);
-        self.ctx.record(StageRecord {
-            stage: StageName::RunCpms,
-            wall: t0.elapsed(),
-            trials: cpm_trials,
-            compiles,
-            items,
-            backend: None,
-            support: None,
+    pub fn finish_cpms(self, marginals: Vec<Marginal>) -> CpmsRun {
+        self.execute_cpms(|_, _, _| marginals)
+    }
+
+    /// Stage 4 proper: `execute` turns the work list into its marginals
+    /// (given the context and the global artifact); execution and the
+    /// stage's bookkeeping are timed together as the stage.
+    fn execute_cpms(
+        mut self,
+        execute: impl FnOnce(&Ctx, &Compiled, Vec<CpmWork>) -> Vec<Marginal>,
+    ) -> CpmsRun {
+        let (marginals, cpm_trials) = self.ctx.timed(|ctx| {
+            let work = ctx.cpm_work(&self.layers);
+            let cpm_trials: u64 = work.iter().map(|w| w.trials).sum();
+            let items = work.len();
+            let marginals = execute(ctx, &self.global, work);
+            assert_eq!(
+                marginals.len(),
+                items,
+                "finish_cpms needs exactly one marginal per work item"
+            );
+            let record = StageRecord {
+                stage: StageName::RunCpms,
+                wall: Duration::ZERO,
+                trials: cpm_trials,
+                compiles: ctx.cpm_compiles(items),
+                items,
+                backend: None,
+                support: None,
+            };
+            ((marginals, cpm_trials), record)
         });
+        let trials_used = self.ctx.plan.global_trials + cpm_trials;
         CpmsRun {
             ctx: self.ctx,
             global: self.global,
@@ -954,38 +990,37 @@ impl CpmsRun {
     /// first (§4.4.2), producing the final [`JigsawResult`].
     #[must_use]
     pub fn reconstruct(mut self) -> JigsawResult {
-        // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
-        let t0 = Instant::now();
-        // The sharded reconstruction passes run on the same worker-team
-        // setting as the rest of the pipeline: RunConfig::threads overrides
-        // whatever the reconstruction config carries, so one knob governs
-        // every stage.
-        let reconstruction =
-            self.ctx.config.reconstruction.with_threads(self.ctx.config.run.threads);
-        let mut current = self.global_pmf.clone();
-        let mut rounds = 0;
-        for layer in &self.layers {
-            let members: Vec<Marginal> =
-                self.marginals.iter().filter(|m| m.size() == layer.size).cloned().collect();
-            let r = reconstruct(&current, &members, &reconstruction);
-            // A layer the round cap stopped is reported, not hidden.
-            crate::telemetry::reconstruct_layers(r.converged).inc();
-            crate::telemetry::reconstruct_rounds().add(r.rounds as u64);
-            current = r.pmf;
-            rounds += r.rounds;
-        }
-        let support = current.support_size();
-        self.ctx.record(StageRecord {
-            stage: StageName::Reconstruct,
-            wall: t0.elapsed(),
-            trials: 0,
-            compiles: 0,
-            items: rounds,
-            backend: None,
-            support: Some(support),
+        let (output, rounds) = self.ctx.timed(|ctx| {
+            // The sharded reconstruction passes run on the same worker-team
+            // setting as the rest of the pipeline: RunConfig::threads
+            // overrides whatever the reconstruction config carries, so one
+            // knob governs every stage.
+            let reconstruction = ctx.config.reconstruction.with_threads(ctx.config.run.threads);
+            let mut current = self.global_pmf.clone();
+            let mut rounds = 0;
+            for layer in &self.layers {
+                let members: Vec<Marginal> =
+                    self.marginals.iter().filter(|m| m.size() == layer.size).cloned().collect();
+                let r = reconstruct(&current, &members, &reconstruction);
+                // A layer the round cap stopped is reported, not hidden.
+                crate::telemetry::reconstruct_layers(r.converged).inc();
+                crate::telemetry::reconstruct_rounds().add(r.rounds as u64);
+                current = r.pmf;
+                rounds += r.rounds;
+            }
+            let record = StageRecord {
+                stage: StageName::Reconstruct,
+                wall: Duration::ZERO,
+                trials: 0,
+                compiles: 0,
+                items: rounds,
+                backend: None,
+                support: Some(current.support_size()),
+            };
+            ((current, rounds), record)
         });
         JigsawResult {
-            output: current,
+            output,
             global: self.global_pmf,
             marginals: self.marginals,
             global_eps: self.global.eps,
@@ -1569,6 +1604,17 @@ mod tests {
         let rendered = result.timings.to_string();
         assert_eq!(rendered.lines().count(), result.timings.records().len() + 1);
         assert_eq!(rendered.matches("compiles").count(), 2, "{rendered}");
+        // The run-cpms record times the CPM fan-out, not only the
+        // bookkeeping after it.
+        let selected = JigsawPipeline::plan(b.circuit(), &device, &quick_config(1000))
+            .compile_global()
+            .run_global()
+            .select_subsets();
+        let t0 = Instant::now();
+        let cpms = selected.run_cpms();
+        let outer = t0.elapsed();
+        let recorded = cpms.timings().get(StageName::RunCpms).expect("recorded").wall;
+        assert!(recorded * 2 >= outer, "run-cpms recorded {recorded:?} of {outer:?}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -78,11 +78,6 @@ pub struct ServerConfig {
     /// Stage-scheduler configuration (worker pool, admission capacity,
     /// cross-job batching).
     pub sched: SchedConfig,
-    /// Fault-injection knob for the distributed-sweep suites: the process
-    /// exits (code 86) upon receiving its N-th `SubmitShard` frame,
-    /// *before* replying — simulating a worker killed mid-shard. `None`
-    /// (the default, and the only sane production value) never dies.
-    pub die_after_shards: Option<u64>,
 }
 
 impl ServerConfig {
@@ -98,7 +93,6 @@ impl ServerConfig {
             handlers: 8,
             queue_depth: 64,
             sched: SchedConfig::default(),
-            die_after_shards: None,
         }
     }
 
@@ -127,13 +121,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_sched(mut self, sched: SchedConfig) -> Self {
         self.sched = sched;
-        self
-    }
-
-    /// Arms the fault-injection knob: die on the `n`-th `SubmitShard`.
-    #[must_use]
-    pub fn with_die_after_shards(mut self, n: u64) -> Self {
-        self.die_after_shards = Some(n);
         self
     }
 }
@@ -240,14 +227,6 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Shard-frame fault injection shared by the handler pool: counts
-/// `SubmitShard` arrivals so [`ServerConfig::die_after_shards`] can kill
-/// the process on the configured one.
-struct FaultPlan {
-    shards_seen: AtomicU64,
-    die_after_shards: Option<u64>,
-}
-
 /// The server's own metrics registry and the serving counters it holds;
 /// the cache registers into the same registry.
 #[derive(Clone)]
@@ -281,10 +260,6 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let conns = Arc::new(ConnQueue::new(config.queue_depth));
     let metrics = ServerMetrics::register(registry);
-    let faults = Arc::new(FaultPlan {
-        shards_seen: AtomicU64::new(0),
-        die_after_shards: config.die_after_shards,
-    });
 
     let acceptor = {
         let shutdown = Arc::clone(&shutdown);
@@ -317,12 +292,9 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
             let cache = Arc::clone(&cache);
             let scheduler = Arc::clone(&scheduler);
             let metrics = metrics.clone();
-            let faults = Arc::clone(&faults);
             std::thread::spawn(move || {
                 while let Some(stream) = conns.pop(&shutdown) {
-                    handle_connection(
-                        stream, &cache, &scheduler, &shutdown, &metrics, &faults, addr,
-                    );
+                    handle_connection(stream, &cache, &scheduler, &shutdown, &metrics, addr);
                 }
             })
         })
@@ -347,7 +319,6 @@ fn handle_connection(
     scheduler: &Scheduler,
     shutdown: &Arc<AtomicBool>,
     metrics: &ServerMetrics,
-    faults: &FaultPlan,
     self_addr: SocketAddr,
 ) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
@@ -372,7 +343,7 @@ fn handle_connection(
         };
         let keep_going = match frame.kind {
             FrameKind::SubmitJob => handle_submit(&mut stream, &frame, cache, scheduler, metrics),
-            FrameKind::SubmitShard => handle_shard(&mut stream, &frame, scheduler, faults),
+            FrameKind::SubmitShard => handle_shard(&mut stream, &frame, scheduler),
             FrameKind::MetricsRequest => {
                 let mut text = metrics.registry.render_text();
                 text.push_str(&telemetry::global().render_text());
@@ -456,21 +427,9 @@ fn handle_submit(
 /// open.
 ///
 /// Shards are *not* routed through the stage cache: a sweep driver never
-/// re-asks for a shard it already holds, and retried shards after a worker
-/// death land on a *different* process, so per-process memoisation would
-/// only hide the recompute the fault suites want to observe.
-fn handle_shard(
-    stream: &mut TcpStream,
-    frame: &Frame,
-    scheduler: &Scheduler,
-    faults: &FaultPlan,
-) -> bool {
-    let received = faults.shards_seen.fetch_add(1, Ordering::SeqCst) + 1;
-    if faults.die_after_shards.is_some_and(|n| received >= n) {
-        // Simulate a worker killed mid-shard: exit before any reply, so
-        // the driver observes a dead connection, never an error frame.
-        std::process::exit(86);
-    }
+/// re-asks for a shard it already holds, and a shard retried after a worker
+/// dies lands on a *different* worker, whose cache could not hold it.
+fn handle_shard(stream: &mut TcpStream, frame: &Frame, scheduler: &Scheduler) -> bool {
     let request = match decode_shard(frame) {
         Ok(request) => request,
         Err(error) => {

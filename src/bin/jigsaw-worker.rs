@@ -1,22 +1,16 @@
 //! A distributed-sweep worker: one `jigsaw-server` process that serves
 //! shard frames until a peer sends `Shutdown`.
 //!
-//! The binary exists so the distributed test battery and `dist_bench` can
-//! spawn *real* worker processes — scatter/merge bit-identity is only a
-//! theorem worth having if it holds across process boundaries, not just
-//! across threads. On startup the worker binds a free loopback port and
-//! prints a single `PORT=<n>` line to stdout; the spawner parses that
-//! line to learn the address.
+//! The binary exists so the distributed test battery
+//! (`tests/dist_determinism.rs`) can spawn *real* worker processes —
+//! scatter/merge bit-identity is only a theorem worth having if it holds
+//! across process boundaries, not just across threads. On startup the
+//! worker binds a free loopback port and prints a single `PORT=<n>` line to
+//! stdout; the spawner parses that line to learn the address.
 //!
 //! ```text
-//! jigsaw-worker [--handlers N] [--die-after-shards N]
+//! jigsaw-worker [--handlers N]
 //! ```
-//!
-//! `--die-after-shards N` arms the fault-injection knob: the process
-//! exits with code 86 upon receiving its N-th `SubmitShard` frame,
-//! before replying — the fault suites use it to simulate a worker killed
-//! mid-shard and prove the driver reassigns the shard with identical
-//! bytes.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -25,35 +19,26 @@ use jigsaw_repro::server::server::{serve, ServerConfig};
 
 fn main() -> ExitCode {
     let mut handlers = 2_usize;
-    let mut die_after_shards = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-            args.next().and_then(|v| v.parse::<u64>().ok()).ok_or_else(|| {
-                eprintln!("jigsaw-worker: {flag} needs a non-negative integer");
-            })
-        };
         match arg.as_str() {
-            "--handlers" => match value(&mut args, "--handlers") {
-                Ok(n) => handlers = (n as usize).max(1),
-                Err(()) => return ExitCode::FAILURE,
-            },
-            "--die-after-shards" => match value(&mut args, "--die-after-shards") {
-                Ok(n) => die_after_shards = Some(n),
-                Err(()) => return ExitCode::FAILURE,
+            "--handlers" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) => handlers = n.max(1),
+                None => {
+                    eprintln!("jigsaw-worker: --handlers needs a non-negative integer");
+                    return ExitCode::FAILURE;
+                }
             },
             other => {
                 eprintln!("jigsaw-worker: unknown argument {other:?}");
-                eprintln!("usage: jigsaw-worker [--handlers N] [--die-after-shards N]");
+                eprintln!("usage: jigsaw-worker [--handlers N]");
                 return ExitCode::FAILURE;
             }
         }
     }
 
     let spill = std::env::temp_dir().join(format!("jigsaw-worker-{}", std::process::id()));
-    let mut config = ServerConfig::new(spill).with_handlers(handlers);
-    config.die_after_shards = die_after_shards;
-    let handle = match serve(&config) {
+    let handle = match serve(&ServerConfig::new(spill).with_handlers(handlers)) {
         Ok(handle) => handle,
         Err(error) => {
             eprintln!("jigsaw-worker: bind failed: {error}");

@@ -62,7 +62,7 @@ fn spawn_worker_process() -> (std::process::Child, SocketAddr) {
 
 fn stop_worker_process(mut child: std::process::Child, addr: SocketAddr) {
     if let Ok(mut client) = Client::connect(addr) {
-        let _ = client.shutdown_server();
+        client.shutdown_server().expect("shutdown acknowledged");
     }
     let _ = child.wait();
 }

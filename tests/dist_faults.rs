@@ -5,8 +5,8 @@
 //!
 //! Fault surfaces exercised:
 //!
-//! * **Worker killed mid-shard** — a real `jigsaw-worker` process armed
-//!   with `--die-after-shards` exits (code 86) before replying; the
+//! * **Worker killed mid-shard** — an in-test fake worker reads one
+//!   `SubmitShard` frame, then drops the connection and its listener; the
 //!   driver retires it, reassigns the shard to a survivor, and the merged
 //!   bytes are unchanged (index-pinned seeds make the retry identical).
 //! * **Dropped result** — a flaky runner erroring on first contact is the
@@ -16,8 +16,8 @@
 //! * **Exhausted retries, dead fleets, wedged workers** — typed
 //!   `ShardFailed` / `NoWorkers` / watchdog `Timeout`, promptly.
 
-use std::io::BufRead;
-use std::net::SocketAddr;
+use std::net::TcpListener;
+use std::sync::mpsc::{channel, Receiver};
 use std::time::{Duration, Instant};
 
 use jigsaw_repro::circuit::bench;
@@ -31,8 +31,8 @@ use jigsaw_repro::core::{run_jigsaw, JigsawConfig};
 use jigsaw_repro::device::Device;
 use jigsaw_repro::pmf::codec::encode_to_vec;
 use jigsaw_repro::pmf::ShardPartial;
-use jigsaw_repro::server::dist::run_distributed;
-use jigsaw_repro::server::Client;
+use jigsaw_repro::server::protocol::{Frame, FrameKind};
+use jigsaw_repro::server::{serve, RemoteRunner, ServerConfig};
 
 fn sweep_inputs(seed: u64) -> (jigsaw_repro::circuit::Circuit, Device, JigsawConfig) {
     let mut config = JigsawConfig::jigsaw(1_200).without_recompilation().with_seed(seed);
@@ -52,24 +52,6 @@ fn solo_bytes(seed: u64) -> Vec<u8> {
 
 fn cpm_count(stage: &SubsetsSelected) -> usize {
     stage.layers().iter().map(|layer| layer.subsets.len()).sum()
-}
-
-/// Polls `try_wait` until the child exits or the limit passes — reaping
-/// a process under test must never be able to hang the suite.
-fn wait_bounded(
-    child: &mut std::process::Child,
-    limit: Duration,
-) -> Option<std::process::ExitStatus> {
-    let started = Instant::now();
-    loop {
-        if let Some(status) = child.try_wait().expect("poll worker") {
-            return Some(status);
-        }
-        if started.elapsed() >= limit {
-            return None;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
 }
 
 /// A runner that errors on its first `failures` calls, then executes
@@ -114,76 +96,65 @@ impl ShardRunner for WedgedRunner {
     }
 }
 
-/// A real worker killed mid-shard: armed with `--die-after-shards 2`, it
-/// serves one warm-up shard submitted directly, then exits with code 86
-/// *before* replying to its second — which is deterministically the
-/// first shard the sweep driver hands it (shard-to-worker assignment is
-/// timing-dependent, so the warm-up is what guarantees the fault fires
-/// no matter which sweep shard lands on the doomed worker). The
-/// surviving worker absorbs the reassigned shard and the merged bytes
-/// are unchanged.
+/// A remote runner that holds its first shard until the doomed worker has
+/// read one, so the fault fires on every run whatever the thread timing.
+struct AfterFault {
+    inner: RemoteRunner,
+    fault: Option<Receiver<FrameKind>>,
+}
+
+impl ShardRunner for AfterFault {
+    fn run_shard(
+        &mut self,
+        stage: &SubsetsSelected,
+        shard: &Shard,
+        priority: Priority,
+    ) -> Result<ShardPartial, String> {
+        if let Some(fault) = self.fault.take() {
+            let kind =
+                fault.recv_timeout(Duration::from_secs(30)).expect("doomed worker got a shard");
+            assert_eq!(kind, FrameKind::SubmitShard, "the doomed worker must die mid-shard");
+        }
+        self.inner.run_shard(stage, shard, priority)
+    }
+}
+
+/// A worker killed mid-shard: a fake worker accepts one connection, reads
+/// its `SubmitShard` frame, then drops the stream and the listener. The
+/// driver sees what a dead worker process shows it — EOF where the reply
+/// should be, then connection refused — retires the worker, and the
+/// surviving in-process server absorbs the reassigned shard with the
+/// merged bytes unchanged.
 #[test]
 fn killed_worker_process_is_reassigned_with_identical_bytes() {
     let solo = solo_bytes(7);
     let stage = sweep_stage(7);
 
-    let spawn = |args: &[&str]| {
-        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_jigsaw-worker"))
-            .args(args)
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn jigsaw-worker");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout).read_line(&mut line).expect("worker PORT line");
-        let port: u16 = line
-            .trim()
-            .strip_prefix("PORT=")
-            .and_then(|p| p.parse().ok())
-            .unwrap_or_else(|| panic!("worker printed {line:?}, expected PORT=<n>"));
-        (child, SocketAddr::from(([127, 0, 0, 1], port)))
-    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind doomed worker");
+    let doomed = RemoteRunner::new(listener.local_addr().expect("doomed worker address"));
+    let (died, fault) = channel();
+    let doomed_worker = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("driver connects");
+        let frame = Frame::read_from(&mut stream).expect("well-formed frame").expect("a frame");
+        drop((stream, listener));
+        died.send(frame.kind).expect("survivor is waiting");
+    });
+    let spill = std::env::temp_dir().join(format!("jigsaw-dist-faults-{}", std::process::id()));
+    let survivor = serve(&ServerConfig::new(spill)).expect("bind survivor");
 
-    let (mut doomed, doomed_addr) = spawn(&["--die-after-shards", "2"]);
-    let (mut survivor, survivor_addr) = spawn(&[]);
-
-    // Warm-up: serve one shard directly so the doomed worker's counter
-    // sits at 1 — its first sweep shard is then guaranteed to kill it.
-    let warmup = jigsaw_repro::core::dist::ShardRequest {
-        stage: stage.clone(),
-        shard: plan_shards(cpm_count(&stage), 2)[0],
-        priority: Priority::Sweep,
-    };
-    let mut client = Client::connect(doomed_addr).expect("connect doomed worker");
-    let served = client.submit_shard(&warmup).expect("warm-up shard served");
-    assert_eq!(served.shard_index, 0, "warm-up shard must be served normally");
-    drop(client);
-
-    let merged = run_distributed(
-        &stage,
-        &[doomed_addr, survivor_addr],
-        &DistConfig::default().with_shard_size(2),
-    )
-    .expect("sweep survives one worker death");
+    let runners: Vec<Box<dyn ShardRunner>> = vec![
+        Box::new(doomed),
+        Box::new(AfterFault { inner: RemoteRunner::new(survivor.addr()), fault: Some(fault) }),
+    ];
+    let merged = run_sharded(&stage, runners, &DistConfig::default().with_shard_size(2))
+        .expect("sweep survives one worker death");
     assert_eq!(
         encode_to_vec(&merged),
         solo,
         "merge after a mid-shard worker death diverged from solo"
     );
-
-    // The doomed worker really died through the injected fault, not a
-    // clean shutdown. Bounded reap: a live doomed worker is a test
-    // failure, never a hang.
-    let status = wait_bounded(&mut doomed, Duration::from_secs(30)).unwrap_or_else(|| {
-        let _ = doomed.kill();
-        let _ = doomed.wait();
-        panic!("doomed worker outlived the sweep; the fault knob never fired");
-    });
-    assert_eq!(status.code(), Some(86), "worker should exit through the fault knob");
-    if let Ok(mut client) = Client::connect(survivor_addr) {
-        let _ = client.shutdown_server();
-    }
-    let _ = survivor.wait();
+    doomed_worker.join().expect("doomed worker thread");
+    survivor.shutdown();
 }
 
 /// A dropped/errored first attempt is retried on a survivor and the

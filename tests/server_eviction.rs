@@ -110,6 +110,8 @@ fn rehydration_counter_shows_in_the_metrics_frame() {
     assert_eq!(counter(addr, EVICTIONS), 2, "evictions counted");
     assert_eq!(counter(addr, REHYDRATIONS), 1, "rehydrations counted");
     assert_eq!(counter(addr, "jigsaw_server_jobs_total"), 3, "jobs counted");
+    let text = Client::connect(addr).expect("connect").metrics().expect("metrics frame");
+    assert!(text.contains("jigsaw_stage_wall_seconds"), "stage walls missing:\n{text}");
     let global = telemetry::global().render_text();
     assert!(!global.contains("jigsaw_server_"), "serving families leaked into the global registry");
     handle.shutdown();
