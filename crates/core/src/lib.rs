@@ -110,5 +110,5 @@ pub use pipeline::{
     CpmWork, JigsawPipeline, PlanError, StageName, StageOutcome, StageRecord, StageTask,
     StageTimings,
 };
-pub use sched::{JobError, JobOutput, JobTicket, Priority, SchedConfig, Scheduler, ShardTicket};
+pub use sched::{JobError, JobTicket, Priority, SchedConfig, Scheduler, ShardTicket};
 pub use subsets::SubsetSelection;

@@ -285,7 +285,7 @@ impl Ctx {
         work
     }
 
-    /// One CPM's marginal; see [`SubsetsSelected::run_cpm_item`].
+    /// One CPM's marginal: its histogram, normalised.
     fn run_cpm(&self, global: &Compiled, item: &CpmWork) -> Marginal {
         Marginal::new(item.subset.clone(), self.cpm_counts(global, item).to_pmf())
     }
@@ -835,28 +835,23 @@ impl SubsetsSelected {
     /// CPM, in work-list order (largest sizes first), each carrying its
     /// per-CPM trial budget and its index-pinned RNG seed.
     ///
-    /// External executors — the multi-job stage scheduler merges work lists
-    /// from many jobs into one fan-out — compute each item with
-    /// [`Self::run_cpm_item`] and hand the marginals back through
-    /// [`Self::finish_cpms`]; [`Self::run_cpms`] is exactly that chain, so
-    /// any schedule that preserves item order reproduces it bit-for-bit.
+    /// External executors — a distributed sweep ([`crate::dist`]) ships
+    /// ranges of it to other processes — compute each item's histogram with
+    /// [`Self::run_cpm_item_counts`], normalise it with `Counts::to_pmf`,
+    /// and hand the marginals back through [`Self::finish_cpms`];
+    /// [`Self::run_cpms`] is exactly that chain, so any schedule that
+    /// preserves item order reproduces it bit-for-bit.
     #[must_use]
     pub fn cpm_work(&self) -> Vec<CpmWork> {
         self.ctx.cpm_work(&self.layers)
     }
 
     /// Compiles (or derives from the global artifact) and executes one CPM
-    /// work item. Pure in `(self, item)`: the seed rides on the item, so
-    /// the result is independent of when, where or alongside what the item
-    /// runs — the property cross-job batching rests on.
-    #[must_use]
-    pub fn run_cpm_item(&self, item: &CpmWork) -> Marginal {
-        self.ctx.run_cpm(&self.global, item)
-    }
-
-    /// The raw histogram behind [`Self::run_cpm_item`] — the unit a
-    /// distributed sweep ([`crate::dist`]) ships across processes.
-    /// `run_cpm_item` is exactly this followed by the deterministic
+    /// work item, returning its raw histogram — the unit a distributed
+    /// sweep ([`crate::dist`]) ships across processes. Pure in
+    /// `(self, item)`: the seed rides on the item, so the result is
+    /// independent of when, where or alongside what the item runs. The
+    /// stage's marginal is exactly this followed by the deterministic
     /// `Counts::to_pmf` normalisation, so moving histograms over the wire
     /// and normalising at the merge preserves bit-identity.
     #[must_use]
@@ -887,10 +882,11 @@ impl SubsetsSelected {
     }
 
     /// Stage 4 completion: installs externally computed CPM marginals —
-    /// which must be [`Self::run_cpm_item`] applied to [`Self::cpm_work`]
-    /// in work-list order — and records the stage. The semantic stage
-    /// record (trials, compiles, items) is derived from the work list, so a
-    /// batched execution encodes byte-identically to [`Self::run_cpms`].
+    /// which must be [`Self::run_cpm_item_counts`], normalised, applied to
+    /// [`Self::cpm_work`] in work-list order — and records the stage. The
+    /// semantic stage record (trials, compiles, items) is derived from the
+    /// work list, so an external execution encodes byte-identically to
+    /// [`Self::run_cpms`].
     /// The record's wall covers only this driver-side bookkeeping: the
     /// marginals were computed elsewhere, outside the stage's clock.
     ///
@@ -1043,21 +1039,15 @@ impl CpmsRun {
 /// the same typestate method a solo driver would, and stage seeds depend
 /// only on `(experiment seed, stage identity)`, so *any* interleaving
 /// replays bit-identically to [`run_jigsaw`](crate::run_jigsaw).
-///
-/// The two trial-fan-out stages additionally expose their inner values
-/// ([`GlobalCompiled`], [`SubsetsSelected`]) so `jigsaw_core::sched` can
-/// merge compatible work across jobs instead of advancing them one by one.
 #[derive(Debug, Clone)]
 pub enum StageTask {
     /// Planned; next transition is [`Planned::compile_global`].
     Planned(Planned),
-    /// Compiled; next transition is [`GlobalCompiled::run_global`]
-    /// (batchable across jobs).
+    /// Compiled; next transition is [`GlobalCompiled::run_global`].
     GlobalCompiled(GlobalCompiled),
     /// Global mode ran; next transition is [`GlobalRun::select_subsets`].
     GlobalRun(GlobalRun),
-    /// Subsets chosen; next transition is [`SubsetsSelected::run_cpms`]
-    /// (batchable across jobs via [`SubsetsSelected::cpm_work`]).
+    /// Subsets chosen; next transition is [`SubsetsSelected::run_cpms`].
     SubsetsSelected(SubsetsSelected),
     /// CPMs ran; next transition is [`CpmsRun::reconstruct`].
     CpmsRun(CpmsRun),
@@ -1083,19 +1073,6 @@ impl StageTask {
             Self::GlobalRun(_) => StageName::SelectSubsets,
             Self::SubsetsSelected(_) => StageName::RunCpms,
             Self::CpmsRun(_) => StageName::Reconstruct,
-        }
-    }
-
-    /// The persistable face of the held stage, where one exists (the four
-    /// upstream stages; a [`CpmsRun`] is past the last checkpoint).
-    #[must_use]
-    pub fn kind(&self) -> Option<crate::persist::StageKind> {
-        match self {
-            Self::Planned(_) => Some(crate::persist::StageKind::Planned),
-            Self::GlobalCompiled(_) => Some(crate::persist::StageKind::GlobalCompiled),
-            Self::GlobalRun(_) => Some(crate::persist::StageKind::GlobalRun),
-            Self::SubsetsSelected(_) => Some(crate::persist::StageKind::SubsetsSelected),
-            Self::CpmsRun(_) => None,
         }
     }
 
@@ -1657,7 +1634,6 @@ mod tests {
         let b = bench::ghz(6);
         let config = quick_config(1600).with_seed(11);
         let mut task = StageTask::Planned(JigsawPipeline::plan(b.circuit(), &device, &config));
-        assert_eq!(task.kind(), Some(crate::persist::StageKind::Planned));
         let mut stages = Vec::new();
         let result = loop {
             stages.push(task.next_stage());
@@ -1688,12 +1664,16 @@ mod tests {
             .compile_global()
             .run_global()
             .select_subsets();
-        // Drive the work list by hand — serially, in order — exactly as an
-        // external scheduler merging many jobs would per job.
+        // Drive the work list by hand — serially, in order — exactly as a
+        // distributed sweep's merge does: histograms, normalised per item.
         let work = selected.cpm_work();
         assert!(!work.is_empty());
-        let marginals: Vec<Marginal> =
-            work.iter().map(|item| selected.run_cpm_item(item)).collect();
+        let marginals: Vec<Marginal> = work
+            .iter()
+            .map(|item| {
+                Marginal::new(item.subset.clone(), selected.run_cpm_item_counts(item).to_pmf())
+            })
+            .collect();
         let external = selected.finish_cpms(marginals).reconstruct();
         assert_eq!(external, run_jigsaw(b.circuit(), &device, &config));
         // And the *encoded* results agree byte for byte (the serving

@@ -1,5 +1,5 @@
-//! Multi-job stage scheduler: priority lanes, stage interleaving, and
-//! cross-job simulator batching on one fixed worker pool.
+//! Multi-job stage scheduler: priority lanes and stage interleaving on one
+//! fixed worker pool.
 //!
 //! A solo driver runs one [`JigsawPipeline`] to completion, which is right
 //! for a workstation and wrong for a service: N concurrent distinct jobs
@@ -7,7 +7,9 @@
 //! an interactive query stalls behind a running sweep. The staged pipeline
 //! decomposes every job into seed-deterministic stages — exactly the unit
 //! a scheduler can interleave — so this module runs *many* jobs as a queue
-//! of [`StageTask`]s over a fixed pool of workers:
+//! of [`StageTask`]s over a fixed pool of workers. Each dispatch runs
+//! exactly one [`StageTask::advance`], or one distributed-sweep shard,
+//! behind a panic fault barrier:
 //!
 //! * **Priority lanes.** Every job is submitted into one of three lanes —
 //!   [`Priority::Interactive`] > [`Priority::Sweep`] >
@@ -17,13 +19,6 @@
 //!   priority is tempered by aging: every [`AGING_PERIOD`]-th dispatch
 //!   picks from the *lowest* non-empty lane, so background work always
 //!   makes progress under sustained interactive load.
-//! * **Cross-job batching.** The two trial-fan-out stages (`run_global`,
-//!   `run_cpms`) from different jobs that share a batch key (same device
-//!   and executor configuration — the digest-prefix of compatible
-//!   simulator work) are merged into a single
-//!   [`jigsaw_pmf::parallel`] fan-out and split back per job in input
-//!   order. Duplicate-adjacent traffic — parameter sweeps, VQA iterations
-//!   — therefore scales with concurrency instead of dividing by it.
 //! * **Bounded admission.** At most [`SchedConfig::capacity`] jobs are
 //!   admitted at once; the next submission is refused with a typed
 //!   [`JobError::Overloaded`] instead of queueing without limit.
@@ -32,17 +27,14 @@
 //! `tests/sched_determinism.rs` enforces — is **per-job bit-identity**:
 //! every job's [`JigsawResult`] is byte-identical to a solo
 //! [`run_jigsaw`](crate::run_jigsaw) of the same request, regardless of
-//! lane, interleaving, batching, or worker count. This falls out of the
-//! pipeline's seed discipline (stage streams depend only on the experiment
-//! seed and the stage identity, never on scheduling) plus the fan-out
-//! engine's merge-in-input-order rule.
+//! lane, interleaving or worker count. This falls out of the pipeline's
+//! seed discipline: stage streams depend only on the experiment seed and
+//! the stage identity, never on scheduling.
 //!
 //! Telemetry: per-lane queue-wait histograms
-//! (`jigsaw_sched_queue_wait_seconds`), per-lane admission counters
-//! (`jigsaw_sched_jobs_total`) and the cross-job batch counter
-//! (`jigsaw_sched_batched_jobs_total`) land in
-//! [`crate::telemetry::global`], so the job server's metrics frame exposes
-//! them alongside the stage walls.
+//! (`jigsaw_sched_queue_wait_seconds`) and per-lane admission counters
+//! (`jigsaw_sched_jobs_total`) land in [`crate::telemetry::global`], so
+//! the job server's metrics frame exposes them alongside the stage walls.
 //!
 //! # Examples
 //!
@@ -60,10 +52,10 @@
 //!     ..JigsawConfig::jigsaw(400)
 //! };
 //! let ticket = sched
-//!     .submit(bench::ghz(4).circuit(), &device, &config, Priority::Interactive, None)
+//!     .submit(bench::ghz(4).circuit(), &device, &config, Priority::Interactive)
 //!     .expect("admitted");
-//! let output = ticket.wait().expect("job ran");
-//! assert_eq!(output.result, run_jigsaw(bench::ghz(4).circuit(), &device, &config));
+//! let result = ticket.wait().expect("job ran");
+//! assert_eq!(result, run_jigsaw(bench::ghz(4).circuit(), &device, &config));
 //! ```
 
 use std::collections::VecDeque;
@@ -75,26 +67,17 @@ use std::time::Instant;
 
 use jigsaw_circuit::Circuit;
 use jigsaw_device::Device;
-use jigsaw_pmf::codec::{fnv1a64, Encode, Writer};
-use jigsaw_pmf::parallel::{fan_out, fan_out_groups};
-
 use jigsaw_pmf::ShardPartial;
 
-use crate::bayes::Marginal;
 use crate::dist;
 use crate::jigsaw::{JigsawConfig, JigsawResult};
 use crate::lockcheck::{Condvar, Mutex};
-use crate::persist::{self, StageKind};
 use crate::pipeline::{JigsawPipeline, PlanError, StageOutcome, StageTask, SubsetsSelected};
 use crate::telemetry;
 
 /// Every this-many dispatches, the pick order inverts (lowest lane first)
 /// so background jobs cannot starve under sustained interactive load.
 pub const AGING_PERIOD: u64 = 4;
-
-/// Upper bound on jobs merged into one cross-job batch, bounding the
-/// latency cost a single merged fan-out can impose on its members.
-pub const MAX_BATCH: usize = 32;
 
 /// The scheduling lane of a job, in descending precedence. The wire codes
 /// are part of the SubmitJob frame (docs/FORMAT.md §6).
@@ -211,19 +194,12 @@ pub struct SchedConfig {
     /// Maximum jobs admitted at once (queued + running); the next
     /// submission gets [`JobError::Overloaded`].
     pub capacity: usize,
-    /// Merge compatible `run_global`/`run_cpms` stages across jobs into
-    /// single fan-outs.
-    pub batching: bool,
-    /// Worker-team width of a merged fan-out (`0` = all cores), following
-    /// the `RunConfig::threads` convention. Results are bit-identical at
-    /// every setting.
-    pub batch_threads: usize,
 }
 
 impl Default for SchedConfig {
     fn default() -> Self {
         let workers = std::thread::available_parallelism().map_or(2, usize::from).min(8);
-        Self { workers, capacity: 64, batching: true, batch_threads: 0 }
+        Self { workers, capacity: 64 }
     }
 }
 
@@ -241,163 +217,78 @@ impl SchedConfig {
         self.capacity = capacity;
         self
     }
-
-    /// Enables or disables cross-job batching.
-    #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
-        self
-    }
 }
 
-/// A completed job: the result plus the checkpoint archive captured at the
-/// requested stage (for the server's eviction spill), if one was asked for.
-#[derive(Debug, Clone)]
-pub struct JobOutput {
-    /// The reconstructed result — byte-identical to a solo
-    /// [`run_jigsaw`](crate::run_jigsaw).
-    pub result: JigsawResult,
-    /// The persist archive of the hinted stage, when a hint was given.
-    pub checkpoint: Option<Vec<u8>>,
-}
-
-/// What a waiter eventually observes.
-type JobVerdict = Result<JigsawResult, JobError>;
-
-/// Shared completion cell: the worker fills it, the ticket waits on it.
-struct JobCell {
-    slot: Mutex<CellState>,
+/// Shared completion cell: the worker fills it, the [`Ticket`] waits on
+/// it. Job and shard cells share the `sched.cell.slot` lock rank — no
+/// thread ever holds two cells at once.
+struct Cell<T> {
+    slot: Mutex<Option<Result<T, JobError>>>,
     done: Condvar,
 }
 
-#[derive(Default)]
-struct CellState {
-    verdict: Option<JobVerdict>,
-    checkpoint: Option<Vec<u8>>,
-}
-
-impl JobCell {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            slot: Mutex::new("sched.cell.slot", CellState::default()),
-            done: Condvar::new(),
-        })
-    }
-}
-
-/// A claim on one submitted job. [`Self::wait`] blocks until the scheduler
-/// completes (or refuses) the job.
-pub struct JobTicket {
-    cell: Arc<JobCell>,
-}
-
-impl fmt::Debug for JobTicket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let decided = self.cell.slot.lock().verdict.is_some();
-        f.debug_struct("JobTicket").field("decided", &decided).finish()
-    }
-}
-
-impl JobTicket {
-    /// Blocks until the job completes and returns its output.
-    ///
-    /// # Errors
-    ///
-    /// The [`JobError`] the scheduler refused or failed the job with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the completion lock is poisoned (a scheduler bug: job
-    /// code never runs under it).
-    pub fn wait(self) -> Result<JobOutput, JobError> {
-        let mut slot = self.cell.slot.lock();
-        while slot.verdict.is_none() {
-            slot = self.cell.done.wait(slot);
-        }
-        // analyze:allow(panic-reach, the wait loop above only exits once verdict is Some)
-        let verdict = slot.verdict.take().expect("just checked");
-        let checkpoint = slot.checkpoint.take();
-        verdict.map(|result| JobOutput { result, checkpoint })
-    }
-}
-
-/// Completion cell for one distributed-sweep shard: the worker fills it,
-/// the [`ShardTicket`] waits on it. Shares the `sched.cell.slot` lock
-/// rank with [`JobCell`] — the two are never held together.
-struct ShardCell {
-    slot: Mutex<Option<Result<ShardPartial, JobError>>>,
-    done: Condvar,
-}
-
-impl ShardCell {
+impl<T> Cell<T> {
     fn new() -> Arc<Self> {
         Arc::new(Self { slot: Mutex::new("sched.cell.slot", None), done: Condvar::new() })
     }
 }
 
-/// A claim on one submitted shard ([`Scheduler::submit_shard`]).
-pub struct ShardTicket {
-    cell: Arc<ShardCell>,
+/// A claim on one submitted unit of work. [`Self::wait`] blocks until the
+/// scheduler completes (or refuses) it.
+pub struct Ticket<T> {
+    cell: Arc<Cell<T>>,
 }
 
-impl fmt::Debug for ShardTicket {
+/// A claim on one submitted job ([`Scheduler::submit`]).
+pub type JobTicket = Ticket<JigsawResult>;
+
+/// A claim on one submitted shard ([`Scheduler::submit_shard`]).
+pub type ShardTicket = Ticket<ShardPartial>;
+
+impl<T> fmt::Debug for Ticket<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let decided = self.cell.slot.lock().is_some();
-        f.debug_struct("ShardTicket").field("decided", &decided).finish()
+        f.debug_struct("Ticket").field("decided", &decided).finish()
     }
 }
 
-impl ShardTicket {
-    /// Blocks until the shard completes and returns its partial result.
+impl<T> Ticket<T> {
+    /// Blocks until the work completes and returns its output: the job's
+    /// result (byte-identical to a solo [`run_jigsaw`](crate::run_jigsaw))
+    /// or the shard's partial.
     ///
     /// # Errors
     ///
-    /// The [`JobError`] the scheduler refused or failed the shard with.
+    /// The [`JobError`] the scheduler refused or failed the work with.
     ///
     /// # Panics
     ///
-    /// Panics if the completion lock is poisoned (a scheduler bug: shard
+    /// Panics if the completion lock is poisoned (a scheduler bug: job
     /// code never runs under it).
-    pub fn wait(self) -> Result<ShardPartial, JobError> {
+    pub fn wait(self) -> Result<T, JobError> {
         let mut slot = self.cell.slot.lock();
-        while slot.is_none() {
+        loop {
+            if let Some(verdict) = slot.take() {
+                return verdict;
+            }
             slot = self.cell.done.wait(slot);
         }
-        // analyze:allow(panic-reach, the wait loop above only exits once the verdict is Some)
-        slot.take().expect("just checked")
     }
-}
-
-/// Which batchable stage a pending task is at, plus the compatibility key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BatchSignature {
-    /// 0 = `run_global`, 1 = `run_cpms`.
-    stage: u8,
-    /// FNV digest of the encoded device + executor config: the
-    /// digest-prefix two jobs must share for their simulator work to merge.
-    key: u64,
 }
 
 /// The payload of one queued dispatch unit.
 enum Work {
     /// A pipeline job parked at a stage boundary.
-    Stage {
-        cell: Arc<JobCell>,
-        task: Box<StageTask>,
-        /// Stage still awaiting checkpoint capture, if any.
-        hint: Option<StageKind>,
-    },
+    Stage { cell: Arc<Cell<JigsawResult>>, task: Box<StageTask> },
     /// One distributed-sweep shard ([`Scheduler::submit_shard`]),
-    /// resolved through [`dist::execute_shard`]. Never batched: a shard
-    /// is already a range fan-out of its own.
-    Shard { cell: Arc<ShardCell>, stage: Arc<SubsetsSelected>, shard: dist::Shard },
+    /// resolved through [`dist::execute_shard`].
+    Shard { cell: Arc<Cell<ShardPartial>>, stage: Arc<SubsetsSelected>, shard: dist::Shard },
 }
 
 /// One queued unit of work sitting in a lane.
 struct Pending {
     work: Work,
     lane: Priority,
-    signature: Option<BatchSignature>,
     enqueued: Instant,
 }
 
@@ -405,7 +296,6 @@ struct Pending {
 struct Metrics {
     queue_wait: [telemetry::Histogram; 3],
     lane_jobs: [telemetry::Counter; 3],
-    batched_jobs: telemetry::Counter,
 }
 
 impl Metrics {
@@ -413,7 +303,6 @@ impl Metrics {
         Self {
             queue_wait: Priority::ALL.map(|p| telemetry::sched_queue_wait(p.label())),
             lane_jobs: Priority::ALL.map(|p| telemetry::sched_lane_jobs(p.label())),
-            batched_jobs: telemetry::sched_batched_jobs(),
         }
     }
 }
@@ -486,9 +375,7 @@ impl Scheduler {
         self.inner.state.lock().admitted
     }
 
-    /// Submits one job into `priority`'s lane. `checkpoint` names the
-    /// pipeline stage to capture as a persist archive on the way through
-    /// (the job server spills it on cache eviction); `None` skips capture.
+    /// Submits one job into `priority`'s lane.
     ///
     /// Admission is synchronous: a full scheduler refuses immediately with
     /// [`JobError::Overloaded`], and an unusable request with
@@ -509,28 +396,12 @@ impl Scheduler {
         device: &Device,
         config: &JigsawConfig,
         priority: Priority,
-        checkpoint: Option<StageKind>,
     ) -> Result<JobTicket, JobError> {
         let planned = JigsawPipeline::try_plan(program, device, config)?;
-        let cell = JobCell::new();
-        // A `Planned` hint is satisfiable right now, before any stage runs.
-        let mut hint = checkpoint;
-        if hint == Some(StageKind::Planned) {
-            cell.slot.lock().checkpoint = Some(persist::to_bytes(&planned));
-            hint = None;
-        }
-        let pending = Pending {
-            work: Work::Stage {
-                cell: Arc::clone(&cell),
-                task: Box::new(StageTask::Planned(planned)),
-                hint,
-            },
-            lane: priority,
-            signature: None,
-            enqueued: Instant::now(),
-        };
-        self.admit(pending, priority)?;
-        Ok(JobTicket { cell })
+        let cell = Cell::new();
+        let task = Box::new(StageTask::Planned(planned));
+        self.admit(Work::Stage { cell: Arc::clone(&cell), task }, priority)?;
+        Ok(Ticket { cell })
     }
 
     /// Submits one distributed-sweep shard into `priority`'s lane: the
@@ -563,19 +434,13 @@ impl Scheduler {
                 shard.lo, shard.hi
             )));
         }
-        let cell = ShardCell::new();
-        let pending = Pending {
-            work: Work::Shard { cell: Arc::clone(&cell), stage, shard },
-            lane: priority,
-            signature: None,
-            enqueued: Instant::now(),
-        };
-        self.admit(pending, priority)?;
-        Ok(ShardTicket { cell })
+        let cell = Cell::new();
+        self.admit(Work::Shard { cell: Arc::clone(&cell), stage, shard }, priority)?;
+        Ok(Ticket { cell })
     }
 
     /// Shared admission: bounds capacity, enqueues, wakes one worker.
-    fn admit(&self, pending: Pending, priority: Priority) -> Result<(), JobError> {
+    fn admit(&self, work: Work, priority: Priority) -> Result<(), JobError> {
         {
             let mut state = self.inner.state.lock();
             if state.shutdown {
@@ -585,7 +450,11 @@ impl Scheduler {
                 return Err(JobError::Overloaded { capacity: self.inner.config.capacity });
             }
             state.admitted += 1;
-            state.lanes[priority.index()].push_back(pending);
+            state.lanes[priority.index()].push_back(Pending {
+                work,
+                lane: priority,
+                enqueued: Instant::now(),
+            });
         }
         self.inner.metrics.lane_jobs[priority.index()].inc();
         self.inner.work.notify_one();
@@ -614,65 +483,29 @@ impl Scheduler {
     }
 
     /// Completes a never-dispatched unit with [`JobError::Shutdown`].
-    fn fail_pending(inner: &Arc<Inner>, work: Work) {
+    fn fail_pending(inner: &Inner, work: Work) {
         match work {
             Work::Stage { cell, .. } => Self::complete(inner, &cell, Err(JobError::Shutdown)),
-            Work::Shard { cell, .. } => {
-                Self::complete_shard(inner, &cell, Err(JobError::Shutdown));
-            }
+            Work::Shard { cell, .. } => Self::complete(inner, &cell, Err(JobError::Shutdown)),
         }
     }
 
-    /// The batch signature of a task, when it sits at a batchable stage.
-    fn signature_of(task: &StageTask) -> Option<BatchSignature> {
-        let (stage, ctx) = match task {
-            StageTask::GlobalCompiled(s) => (0, s.ctx()),
-            StageTask::SubsetsSelected(s) => (1, s.ctx()),
-            _ => return None,
-        };
-        let (_, device, config) = ctx.digest_inputs();
-        let mut w = Writer::new();
-        device.encode(&mut w);
-        config.run.encode(&mut w);
-        Some(BatchSignature { stage, key: fnv1a64(w.as_bytes()) })
-    }
-
-    /// Picks the next dispatch under the lane discipline, draining
-    /// batch-compatible peers from every lane when batching is on.
-    fn pick(state: &mut State, config: &SchedConfig) -> Option<Vec<Pending>> {
+    /// Picks the next dispatch under the lane discipline.
+    fn pick(state: &mut State) -> Option<Pending> {
         let aging = state.picks % AGING_PERIOD == AGING_PERIOD - 1;
         let order: [usize; 3] = if aging { [2, 1, 0] } else { [0, 1, 2] };
         let lane = order.into_iter().find(|&l| !state.lanes[l].is_empty())?;
         state.picks += 1;
-        let primary = state.lanes[lane].pop_front().expect("non-empty lane");
-        let signature = primary.signature.filter(|_| config.batching);
-        let mut batch = vec![primary];
-        if let Some(signature) = signature {
-            // Peers merge in lane-precedence then FIFO order; order has no
-            // semantic effect (per-job results are split back by job), it
-            // only decides who reports queue wait first.
-            for queue in &mut state.lanes {
-                let mut kept = VecDeque::with_capacity(queue.len());
-                while let Some(pending) = queue.pop_front() {
-                    if batch.len() < MAX_BATCH && pending.signature == Some(signature) {
-                        batch.push(pending);
-                    } else {
-                        kept.push_back(pending);
-                    }
-                }
-                *queue = kept;
-            }
-        }
-        Some(batch)
+        state.lanes[lane].pop_front()
     }
 
-    fn worker_loop(inner: &Arc<Inner>) {
+    fn worker_loop(inner: &Inner) {
         loop {
-            let batch = {
+            let pending = {
                 let mut state = inner.state.lock();
                 loop {
-                    if let Some(batch) = Self::pick(&mut state, &inner.config) {
-                        break batch;
+                    if let Some(pending) = Self::pick(&mut state) {
+                        break pending;
                     }
                     if state.shutdown {
                         return;
@@ -680,163 +513,47 @@ impl Scheduler {
                     state = inner.work.wait(state);
                 }
             };
-            Self::execute(inner, batch);
+            Self::execute(inner, pending);
         }
     }
 
-    /// Runs one dispatch: a single stage, or a merged cross-job batch of
-    /// the same batchable stage.
-    fn execute(inner: &Arc<Inner>, batch: Vec<Pending>) {
-        for pending in &batch {
-            inner.metrics.queue_wait[pending.lane.index()].observe(pending.enqueued.elapsed());
-        }
-        if batch.len() >= 2 {
-            inner.metrics.batched_jobs.add(batch.len() as u64);
-        }
-        let threads = inner.config.batch_threads;
-        // Split each pending into its bookkeeping and its work payload.
-        // Shards dispatch immediately (they are never batched); stage
-        // tasks go through the batch machinery below.
-        let mut metas: Vec<(Arc<JobCell>, Option<StageKind>, Priority)> = Vec::new();
-        let mut tasks: Vec<StageTask> = Vec::new();
-        for pending in batch {
-            match pending.work {
-                Work::Stage { cell, task, hint } => {
-                    metas.push((cell, hint, pending.lane));
-                    tasks.push(*task);
-                }
-                Work::Shard { cell, stage, shard } => {
-                    let verdict =
-                        contain(|| dist::execute_shard(&stage, &shard)).map_err(JobError::Failed);
-                    Self::complete_shard(inner, &cell, verdict);
-                }
+    /// Runs one dispatch — a single stage transition or a single shard —
+    /// behind the fault barrier, then completes or requeues it.
+    fn execute(inner: &Inner, pending: Pending) {
+        let Pending { work, lane, enqueued } = pending;
+        inner.metrics.queue_wait[lane.index()].observe(enqueued.elapsed());
+        match work {
+            Work::Shard { cell, stage, shard } => {
+                let verdict =
+                    contain(|| dist::execute_shard(&stage, &shard)).map_err(JobError::Failed);
+                Self::complete(inner, &cell, verdict);
             }
-        }
-        if tasks.is_empty() {
-            return;
-        }
-
-        let outcomes: Vec<Result<StageOutcome, String>> = if metas.len() >= 2 {
-            match tasks.first() {
-                Some(StageTask::GlobalCompiled(_)) => {
-                    let stages: Vec<_> = tasks
-                        .into_iter()
-                        .map(|t| match t {
-                            StageTask::GlobalCompiled(s) => s,
-                            _ => unreachable!("batch signatures matched"),
-                        })
-                        .collect();
-                    fan_out(stages, threads, |stage| {
-                        contain(move || {
-                            StageOutcome::Next(Box::new(StageTask::GlobalRun(stage.run_global())))
-                        })
-                    })
-                }
-                Some(StageTask::SubsetsSelected(_)) => {
-                    let stages: Vec<_> = tasks
-                        .into_iter()
-                        .map(|t| match t {
-                            StageTask::SubsetsSelected(s) => s,
-                            _ => unreachable!("batch signatures matched"),
-                        })
-                        .collect();
-                    Self::run_cpms_batch(stages, threads)
-                }
-                _ => unreachable!("only fan-out stages carry batch signatures"),
-            }
-        } else {
-            tasks.into_iter().map(|task| contain(move || task.advance())).collect()
-        };
-
-        let mut requeue = Vec::new();
-        for ((cell, mut hint, lane), outcome) in metas.drain(..).zip(outcomes) {
-            match outcome {
+            Work::Stage { cell, task } => match contain(move || task.advance()) {
                 Ok(StageOutcome::Next(task)) => {
-                    if hint.is_some() && task.kind() == hint {
-                        cell.slot.lock().checkpoint = Some(checkpoint_bytes(&task));
-                        hint = None;
+                    let work = Work::Stage { cell, task };
+                    let mut state = inner.state.lock();
+                    if state.shutdown {
+                        drop(state);
+                        Self::fail_pending(inner, work);
+                        return;
                     }
-                    let signature = Self::signature_of(&task);
-                    requeue.push(Pending {
-                        work: Work::Stage { cell, task, hint },
+                    state.lanes[lane.index()].push_back(Pending {
+                        work,
                         lane,
-                        signature,
                         enqueued: Instant::now(),
                     });
-                }
-                Ok(StageOutcome::Done(result)) => {
-                    Self::complete(inner, &cell, Ok(*result));
-                }
-                Err(detail) => {
-                    Self::complete(inner, &cell, Err(JobError::Failed(detail)));
-                }
-            }
-        }
-        if !requeue.is_empty() {
-            let failed: Vec<Pending> = {
-                let mut state = inner.state.lock();
-                if state.shutdown {
                     drop(state);
-                    requeue
-                } else {
-                    for pending in requeue {
-                        state.lanes[pending.lane.index()].push_back(pending);
-                    }
-                    Vec::new()
+                    inner.work.notify_one();
                 }
-            };
-            if failed.is_empty() {
-                inner.work.notify_all();
-            }
-            for pending in failed {
-                Self::fail_pending(inner, pending.work);
-            }
+                Ok(StageOutcome::Done(result)) => Self::complete(inner, &cell, Ok(*result)),
+                Err(detail) => Self::complete(inner, &cell, Err(JobError::Failed(detail))),
+            },
         }
     }
 
-    /// Merged `run_cpms`: one fan-out over the concatenated work lists of
-    /// every job in the batch, split back per job in input order. Panics
-    /// are contained per *item*, so one poisoned CPM fails only its own
-    /// job.
-    fn run_cpms_batch(
-        stages: Vec<crate::pipeline::SubsetsSelected>,
-        threads: usize,
-    ) -> Vec<Result<StageOutcome, String>> {
-        let groups: Vec<Vec<crate::pipeline::CpmWork>> =
-            stages.iter().map(crate::pipeline::SubsetsSelected::cpm_work).collect();
-        let per_job: Vec<Vec<Result<Marginal, String>>> =
-            fan_out_groups(groups, threads, |job, item| {
-                contain(|| stages[job].run_cpm_item(&item))
-            });
-        stages
-            .into_iter()
-            .zip(per_job)
-            .map(|(stage, items)| {
-                let marginals: Result<Vec<Marginal>, String> = items.into_iter().collect();
-                let marginals = marginals?;
-                contain(move || {
-                    StageOutcome::Next(Box::new(StageTask::CpmsRun(stage.finish_cpms(marginals))))
-                })
-            })
-            .collect()
-    }
-
-    fn complete(inner: &Arc<Inner>, cell: &Arc<JobCell>, verdict: JobVerdict) {
-        {
-            let mut state = inner.state.lock();
-            state.admitted = state.admitted.saturating_sub(1);
-        }
-        let mut slot = cell.slot.lock();
-        slot.verdict = Some(verdict);
-        drop(slot);
-        cell.done.notify_all();
-    }
-
-    fn complete_shard(
-        inner: &Arc<Inner>,
-        cell: &Arc<ShardCell>,
-        verdict: Result<ShardPartial, JobError>,
-    ) {
+    /// Releases the unit's admission slot and hands its verdict to the
+    /// waiting ticket.
+    fn complete<T>(inner: &Inner, cell: &Cell<T>, verdict: Result<T, JobError>) {
         {
             let mut state = inner.state.lock();
             state.admitted = state.admitted.saturating_sub(1);
@@ -853,18 +570,6 @@ impl Drop for Scheduler {
         if !self.workers.is_empty() {
             self.stop();
         }
-    }
-}
-
-/// Encodes a stage task's persist archive; only called for the four
-/// persistable stages (guarded by [`StageTask::kind`]).
-fn checkpoint_bytes(task: &StageTask) -> Vec<u8> {
-    match task {
-        StageTask::Planned(s) => persist::to_bytes(s),
-        StageTask::GlobalCompiled(s) => persist::to_bytes(s),
-        StageTask::GlobalRun(s) => persist::to_bytes(s),
-        StageTask::SubsetsSelected(s) => persist::to_bytes(s),
-        StageTask::CpmsRun(_) => unreachable!("CpmsRun has no persistable face"),
     }
 }
 
@@ -903,15 +608,15 @@ mod tests {
             .map(|i| {
                 let config = quick_config(i);
                 let ticket = sched
-                    .submit(bench::ghz(5).circuit(), &device, &config, lanes[i as usize % 3], None)
+                    .submit(bench::ghz(5).circuit(), &device, &config, lanes[i as usize % 3])
                     .expect("admitted");
                 (config, ticket)
             })
             .collect();
         for (config, ticket) in tickets {
-            let output = ticket.wait().expect("job ran");
+            let result = ticket.wait().expect("job ran");
             let solo = run_jigsaw(bench::ghz(5).circuit(), &device, &config);
-            assert_eq!(encode_to_vec(&output.result), encode_to_vec(&solo));
+            assert_eq!(encode_to_vec(&result), encode_to_vec(&solo));
         }
         assert_eq!(sched.admitted(), 0);
     }
@@ -923,18 +628,13 @@ mod tests {
         let sched = Scheduler::new(SchedConfig::default().with_workers(1).with_capacity(1));
         let device = Device::toronto();
         let first = sched
-            .submit(bench::ghz(5).circuit(), &device, &quick_config(0), Priority::Sweep, None)
+            .submit(bench::ghz(5).circuit(), &device, &quick_config(0), Priority::Sweep)
             .expect("first admitted");
         // Capacity counts admitted-not-completed, so this is deterministic:
         // the first job cannot have completed before we submit (its ticket
         // has not been waited and the check happens under the same lock).
-        let refused = sched.submit(
-            bench::ghz(5).circuit(),
-            &device,
-            &quick_config(1),
-            Priority::Interactive,
-            None,
-        );
+        let refused =
+            sched.submit(bench::ghz(5).circuit(), &device, &quick_config(1), Priority::Interactive);
         match refused {
             Err(JobError::Overloaded { capacity: 1 }) => {}
             other => panic!("expected Overloaded, got {other:?}"),
@@ -948,7 +648,7 @@ mod tests {
         let device = Device::toronto();
         let mut measured = bench::ghz(4).circuit().clone();
         measured.measure_all();
-        match sched.submit(&measured, &device, &quick_config(0), Priority::Interactive, None) {
+        match sched.submit(&measured, &device, &quick_config(0), Priority::Interactive) {
             Err(JobError::Plan(PlanError::Premeasured)) => {}
             other => panic!("expected Plan(Premeasured), got {other:?}"),
         }
@@ -964,18 +664,18 @@ mod tests {
         let mut poisoned = quick_config(3);
         poisoned.selection = crate::subsets::SubsetSelection::Random { count: 1_000_000 };
         let bad = sched
-            .submit(bench::ghz(4).circuit(), &device, &poisoned, Priority::Sweep, None)
+            .submit(bench::ghz(4).circuit(), &device, &poisoned, Priority::Sweep)
             .expect("admitted");
         let good_config = quick_config(4);
         let good = sched
-            .submit(bench::ghz(4).circuit(), &device, &good_config, Priority::Sweep, None)
+            .submit(bench::ghz(4).circuit(), &device, &good_config, Priority::Sweep)
             .expect("admitted");
         match bad.wait() {
             Err(JobError::Failed(_)) => {}
             other => panic!("expected Failed, got {other:?}"),
         }
-        let output = good.wait().expect("unaffected job completes");
-        assert_eq!(output.result, run_jigsaw(bench::ghz(4).circuit(), &device, &good_config));
+        let result = good.wait().expect("unaffected job completes");
+        assert_eq!(result, run_jigsaw(bench::ghz(4).circuit(), &device, &good_config));
     }
 
     #[test]
@@ -1019,42 +719,12 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_are_captured_at_the_hinted_stage() {
-        let device = Device::toronto();
-        let sched = Scheduler::new(SchedConfig::default().with_workers(1));
-        let config = quick_config(9);
-        let ticket = sched
-            .submit(
-                bench::ghz(5).circuit(),
-                &device,
-                &config,
-                Priority::Interactive,
-                Some(StageKind::GlobalRun),
-            )
-            .expect("admitted");
-        let output = ticket.wait().expect("job ran");
-        let bytes = output.checkpoint.expect("checkpoint captured");
-        let header = persist::read_header(&bytes).expect("valid archive");
-        assert_eq!(header.stage, StageKind::GlobalRun);
-        // The archive resumes and replays to the same result.
-        let stage: crate::pipeline::GlobalRun = persist::from_bytes(&bytes).expect("resumes");
-        let replayed = stage.select_subsets().run_cpms().reconstruct();
-        assert_eq!(replayed, output.result);
-    }
-
-    #[test]
     fn background_jobs_complete_under_sustained_interactive_load() {
         let device = Device::toronto();
         let sched = Scheduler::new(SchedConfig::default().with_workers(1).with_capacity(256));
         let background_config = quick_config(100);
         let background = sched
-            .submit(
-                bench::ghz(5).circuit(),
-                &device,
-                &background_config,
-                Priority::Background,
-                None,
-            )
+            .submit(bench::ghz(5).circuit(), &device, &background_config, Priority::Background)
             .expect("admitted");
         // A steady stream of interactive jobs submitted *while* the
         // background job is queued: aging guarantees the background job a
@@ -1068,13 +738,12 @@ mod tests {
                         &device,
                         &quick_config(200 + i),
                         Priority::Interactive,
-                        None,
                     )
                     .expect("admitted")
             })
             .collect();
-        let output = background.wait().expect("background job completed");
-        assert_eq!(output.result, run_jigsaw(bench::ghz(5).circuit(), &device, &background_config));
+        let result = background.wait().expect("background job completed");
+        assert_eq!(result, run_jigsaw(bench::ghz(5).circuit(), &device, &background_config));
         for ticket in interactive {
             let _ = ticket.wait().expect("interactive job completed");
         }
@@ -1092,7 +761,6 @@ mod tests {
                         &device,
                         &quick_config(300 + i),
                         Priority::Sweep,
-                        None,
                     )
                     .expect("admitted")
             })

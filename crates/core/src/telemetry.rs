@@ -255,14 +255,6 @@ pub fn sched_lane_jobs(lane: &str) -> Counter {
     global().counter("jigsaw_sched_jobs_total", &[("lane", lane)])
 }
 
-/// Counter of jobs whose fan-out stage ran inside a merged cross-job batch
-/// (`jigsaw_sched_batched_jobs_total`); incremented by the batch size
-/// whenever two or more jobs share one fan-out.
-#[must_use]
-pub fn sched_batched_jobs() -> Counter {
-    global().counter("jigsaw_sched_batched_jobs_total", &[])
-}
-
 /// Distributed-sweep shard outcome counter
 /// (`jigsaw_dist_shards_total{outcome=...}`): shard executions by final
 /// outcome — `"ok"` for a merged partial, `"error"` for a failed attempt.

@@ -90,36 +90,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Applies `f` to every item of every group on **one** worker team and
-/// returns the results regrouped, preserving both group order and
-/// within-group item order.
-///
-/// This is the cross-job batching primitive: each group is one job's work
-/// list (e.g. its CPM fan-out), and merging the groups into a single
-/// [`fan_out`] call lets one worker team chew through many jobs' trial work
-/// at once instead of running the jobs' fan-outs back to back. `f`
-/// receives `(group index, item)` so it can resolve per-group context.
-///
-/// Because [`fan_out`] returns results in submission order and the merged
-/// list is the in-order concatenation of the groups, splitting it back by
-/// the recorded group lengths reproduces exactly what per-group fan-outs
-/// would have produced — bit-identical at every `threads` setting.
-pub fn fan_out_groups<T, R, F>(groups: Vec<Vec<T>>, threads: usize, f: F) -> Vec<Vec<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let lengths: Vec<usize> = groups.iter().map(Vec::len).collect();
-    let merged: Vec<(usize, T)> = groups
-        .into_iter()
-        .enumerate()
-        .flat_map(|(group, items)| items.into_iter().map(move |item| (group, item)))
-        .collect();
-    let mut flat = fan_out(merged, threads, |(group, item)| f(group, item)).into_iter();
-    lengths.into_iter().map(|len| flat.by_ref().take(len).collect()).collect()
-}
-
 /// Applies `f` to every [`SHARD_SIZE`]-entry chunk of `entries` on the
 /// worker team, returning the per-shard results in shard order.
 ///
@@ -177,28 +147,6 @@ mod tests {
         for threads in [0, 2, 5] {
             assert_eq!(sums(threads), serial);
         }
-    }
-
-    #[test]
-    fn fan_out_groups_matches_per_group_fan_outs() {
-        // Ragged groups, including an empty one in the middle.
-        let groups: Vec<Vec<u64>> =
-            vec![(0..7).collect(), Vec::new(), (100..103).collect(), vec![9]];
-        let f = |g: usize, x: u64| x * 10 + g as u64;
-        let expected: Vec<Vec<u64>> = groups
-            .iter()
-            .enumerate()
-            .map(|(g, items)| items.iter().map(|&x| f(g, x)).collect())
-            .collect();
-        for threads in [0, 1, 2, 5] {
-            assert_eq!(fan_out_groups(groups.clone(), threads, f), expected);
-        }
-    }
-
-    #[test]
-    fn fan_out_groups_handles_no_groups() {
-        let out = fan_out_groups(Vec::<Vec<u64>>::new(), 0, |_, x| x);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Content-addressed stage cache with single-flight computation and
-//! archive-backed eviction.
+//! Content-addressed result cache with single-flight computation and
+//! spill-backed eviction.
 //!
 //! Entries are keyed by the persist layer's FNV config digest
 //! ([`jigsaw_core::persist::config_digest`]) — the same content address the
-//! on-disk archives use, so "this exact job" means the same thing in
-//! memory, on the wire and on disk.
+//! wire protocol binds every job frame to, so "this exact job" means the
+//! same thing in memory, on the wire and on disk.
 //!
 //! Three regimes, in lookup order:
 //!
@@ -14,11 +14,14 @@
 //!    In-flight work is tracked separately from the ready map and never
 //!    counts against capacity, so a cache of capacity 1 can still have K
 //!    waiters without deadlocking (see `tests/server_dedup.rs`).
-//! 3. **Spilled** — a previous entry was evicted, but eviction wrote the
-//!    job's checkpoint archive (the stage the request hinted) to the spill
-//!    directory first. Rehydration resumes from that archive and replays
-//!    only the downstream stages — zero global compiles (see
-//!    `tests/server_eviction.rs`).
+//! 3. **Spilled** — a previous entry was evicted, but eviction first wrote
+//!    its response to the spill directory as a [`FrameKind::JobResult`]
+//!    frame, which carries the digest and an FNV checksum. Rehydration
+//!    reads the frame back, checks its kind and digest, and serves its
+//!    payload: the exact bytes served before, with nothing recomputed (see
+//!    `tests/server_eviction.rs`). A spill that fails any check is deleted
+//!    and the job is computed fresh, counted as a miss. Only this module
+//!    knows the spill format.
 //!
 //! Capacity is enforced on the ready map with least-recently-used
 //! eviction. The compute closure runs *outside* the cache lock and inside
@@ -28,21 +31,17 @@
 //! cached — a later resubmission retries.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use jigsaw_core::lockcheck::{Condvar, Mutex};
 use jigsaw_core::telemetry::{Counter, Registry};
 use jigsaw_pmf::hashing::DetHashMap;
 
-use crate::protocol::{ErrorCode, JobRejection};
+use crate::protocol::{ErrorCode, Frame, FrameKind, JobRejection};
 
 /// Shared response bytes: one allocation serves every duplicate submitter.
 pub type SharedBytes = Arc<Vec<u8>>;
-
-/// What a compute/rehydrate closure yields: the encoded response payload
-/// plus the checkpoint archive bytes kept for eviction spill.
-pub type JobArtifacts = (Vec<u8>, Vec<u8>);
 
 /// How a request was satisfied (feeds the metrics registry; tests assert
 /// on it directly).
@@ -54,7 +53,7 @@ pub enum Outcome {
     Coalesced,
     /// Computed fresh.
     Miss,
-    /// Recovered from a spilled eviction archive.
+    /// Served from a spilled eviction frame.
     Rehydrated,
 }
 
@@ -67,9 +66,9 @@ pub struct CacheMetrics {
     pub misses: Counter,
     /// Requests that parked on an in-flight duplicate.
     pub coalesced: Counter,
-    /// Entries evicted to spill archives.
+    /// Entries evicted to spill files.
     pub evictions: Counter,
-    /// Entries recovered from spill archives.
+    /// Entries served from spill files.
     pub rehydrations: Counter,
     /// Computations that returned or raised an error.
     pub compute_errors: Counter,
@@ -90,11 +89,9 @@ impl CacheMetrics {
     }
 }
 
-/// One completed entry: the response to serve and the checkpoint to spill
-/// on eviction.
+/// One completed entry: the response to serve, and to spill on eviction.
 struct ReadyEntry {
     response: SharedBytes,
-    checkpoint: Arc<Vec<u8>>,
     last_used: u64,
 }
 
@@ -112,7 +109,7 @@ struct Inner {
     tick: u64,
 }
 
-/// The content-addressed stage cache. See the module docs for semantics.
+/// The content-addressed result cache. See the module docs for semantics.
 pub struct StageCache {
     capacity: usize,
     spill_dir: PathBuf,
@@ -152,7 +149,7 @@ impl StageCache {
         &self.metrics
     }
 
-    /// Where an evicted entry for `digest` is archived.
+    /// Where an evicted entry for `digest` is spilled.
     #[must_use]
     pub fn spill_path(&self, digest: u64) -> PathBuf {
         self.spill_dir.join(format!("{digest:016x}.jigsaw"))
@@ -176,11 +173,9 @@ impl StageCache {
     }
 
     /// Serves `digest` from the first regime that applies: ready memory,
-    /// an in-flight duplicate, a spill archive (via `rehydrate`), or a
-    /// fresh computation (via `compute`). Both closures run outside the
-    /// cache lock and inside a panic fault barrier, and must return the
-    /// encoded response plus the checkpoint archive bytes to keep for
-    /// eviction.
+    /// an in-flight duplicate, a spill file, or a fresh computation (via
+    /// `compute`, which runs outside the cache lock and inside a panic
+    /// fault barrier and returns the encoded response).
     ///
     /// # Errors
     ///
@@ -194,8 +189,7 @@ impl StageCache {
     pub fn get_or_compute(
         &self,
         digest: u64,
-        compute: impl FnOnce() -> Result<JobArtifacts, JobRejection>,
-        rehydrate: impl FnOnce(&Path) -> Result<JobArtifacts, JobRejection>,
+        compute: impl FnOnce() -> Result<Vec<u8>, JobRejection>,
     ) -> (Result<SharedBytes, JobRejection>, Outcome) {
         let flight = {
             let mut inner = self.inner.lock();
@@ -221,20 +215,22 @@ impl StageCache {
             flight
         };
 
-        // We own the flight. Compute outside the lock, behind the barrier.
-        let spill = self.spill_path(digest);
-        let (result, outcome) = if spill.is_file() {
-            self.metrics.rehydrations.inc();
-            (Self::contain(move || rehydrate(&spill)), Outcome::Rehydrated)
-        } else {
-            self.metrics.misses.inc();
-            (Self::contain(compute), Outcome::Miss)
+        // We own the flight. Read the spill or compute, outside the lock.
+        let (result, outcome) = match self.rehydrate(digest) {
+            Some(response) => {
+                self.metrics.rehydrations.inc();
+                (Ok(response), Outcome::Rehydrated)
+            }
+            None => {
+                self.metrics.misses.inc();
+                (Self::contain(compute), Outcome::Miss)
+            }
         };
 
         let shared = match result {
-            Ok((response, checkpoint)) => {
+            Ok(response) => {
                 let response = Arc::new(response);
-                self.install(digest, Arc::clone(&response), Arc::new(checkpoint));
+                self.install(digest, Arc::clone(&response));
                 Ok(response)
             }
             Err(rejection) => {
@@ -265,8 +261,8 @@ impl StageCache {
 
     /// The fault barrier: a panicking closure becomes a typed rejection.
     fn contain(
-        job: impl FnOnce() -> Result<JobArtifacts, JobRejection>,
-    ) -> Result<JobArtifacts, JobRejection> {
+        job: impl FnOnce() -> Result<Vec<u8>, JobRejection>,
+    ) -> Result<Vec<u8>, JobRejection> {
         catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
             let detail = payload
                 .downcast_ref::<&str>()
@@ -280,14 +276,32 @@ impl StageCache {
         })
     }
 
+    /// The response spilled for `digest`, if its spill file holds a valid
+    /// `JobResult` frame for that digest. A file that fails the frame
+    /// checks is deleted, so a bad spill costs one recomputation, never a
+    /// lasting error.
+    fn rehydrate(&self, digest: u64) -> Option<Vec<u8>> {
+        let path = self.spill_path(digest);
+        let bytes = std::fs::read(&path).ok()?;
+        match Frame::from_bytes(&bytes) {
+            Ok(frame) if frame.kind == FrameKind::JobResult && frame.digest == digest => {
+                Some(frame.payload)
+            }
+            _ => {
+                let _ = std::fs::remove_file(&path);
+                None
+            }
+        }
+    }
+
     /// Moves a finished flight into the ready map, evicting LRU entries to
-    /// spill archives until capacity holds.
-    fn install(&self, digest: u64, response: SharedBytes, checkpoint: Arc<Vec<u8>>) {
+    /// spill files until capacity holds.
+    fn install(&self, digest: u64, response: SharedBytes) {
         let mut inner = self.inner.lock();
         inner.inflight.remove(&digest);
         inner.tick += 1;
         let tick = inner.tick;
-        inner.ready.insert(digest, ReadyEntry { response, checkpoint, last_used: tick });
+        inner.ready.insert(digest, ReadyEntry { response, last_used: tick });
         while inner.ready.len() > self.capacity {
             let victim = inner
                 .ready
@@ -296,20 +310,22 @@ impl StageCache {
                 .map(|(&digest, _)| digest);
             let Some(victim) = victim else { break };
             let Some(entry) = inner.ready.remove(&victim) else { break };
-            // Spill under the lock: the archive must exist before anyone
-            // can observe the entry as gone, or a racing duplicate would
+            // Spill under the lock: the file must exist before anyone can
+            // observe the entry as gone, or a racing duplicate would
             // recompute instead of rehydrating.
-            self.spill(victim, &entry.checkpoint);
+            self.spill(victim, &entry.response);
             self.metrics.evictions.inc();
         }
     }
 
-    /// Writes an eviction archive atomically (temp + rename), matching the
-    /// persist layer's crash discipline.
-    fn spill(&self, digest: u64, checkpoint: &[u8]) {
+    /// Writes an evicted response as a `JobResult` frame, atomically
+    /// (temp + rename), matching the persist layer's crash discipline.
+    fn spill(&self, digest: u64, response: &[u8]) {
         let path = self.spill_path(digest);
         let tmp = path.with_extension("jigsaw.tmp");
-        let written = std::fs::write(&tmp, checkpoint).and_then(|()| std::fs::rename(&tmp, &path));
+        let frame = Frame { kind: FrameKind::JobResult, digest, payload: response.to_vec() };
+        let written =
+            std::fs::write(&tmp, frame.to_bytes()).and_then(|()| std::fs::rename(&tmp, &path));
         if written.is_err() {
             // Spill failure is not fatal: the entry is simply gone and a
             // resubmission recomputes. Leave no torn file behind.
@@ -331,16 +347,16 @@ mod tests {
         dir
     }
 
-    fn artifacts(tag: u8) -> Result<JobArtifacts, JobRejection> {
-        Ok((vec![tag; 4], vec![0xC0, tag]))
+    fn response(tag: u8) -> Result<Vec<u8>, JobRejection> {
+        Ok(vec![tag; 4])
     }
 
     #[test]
     fn hits_serve_the_installed_bytes() {
         let cache = StageCache::new(4, tmp_dir("hits"), &Registry::default()).expect("spill dir");
-        let (first, outcome) = cache.get_or_compute(7, || artifacts(1), |_| unreachable!());
+        let (first, outcome) = cache.get_or_compute(7, || response(1));
         assert_eq!(outcome, Outcome::Miss);
-        let (second, outcome) = cache.get_or_compute(7, || unreachable!(), |_| unreachable!());
+        let (second, outcome) = cache.get_or_compute(7, || unreachable!());
         assert_eq!(outcome, Outcome::Hit);
         assert_eq!(first.expect("computed"), second.expect("cached"));
     }
@@ -348,20 +364,15 @@ mod tests {
     #[test]
     fn capacity_evicts_lru_to_spill_and_rehydrates() {
         let cache = StageCache::new(1, tmp_dir("evict"), &Registry::default()).expect("spill dir");
-        let _ = cache.get_or_compute(1, || artifacts(1), |_| unreachable!());
-        let _ = cache.get_or_compute(2, || artifacts(2), |_| unreachable!());
+        let _ = cache.get_or_compute(1, || response(1));
+        let _ = cache.get_or_compute(2, || response(2));
         assert_eq!(cache.len(), 1, "capacity bound holds");
-        assert!(cache.spill_path(1).is_file(), "eviction archived digest 1");
-        // A resubmission of the evicted digest must go down the rehydrate
-        // path, not the compute path.
-        let (result, outcome) = cache.get_or_compute(
-            1,
-            || panic!("must not recompute"),
-            |path| {
-                assert!(path.is_file());
-                artifacts(1)
-            },
-        );
+        let spilled = std::fs::read(cache.spill_path(1)).expect("eviction spilled digest 1");
+        let frame = Frame::from_bytes(&spilled).expect("the spill is one valid frame");
+        assert_eq!((frame.kind, frame.digest), (FrameKind::JobResult, 1));
+        // A resubmission of the evicted digest is served from the spill,
+        // not the compute path.
+        let (result, outcome) = cache.get_or_compute(1, || panic!("must not recompute"));
         assert_eq!(outcome, Outcome::Rehydrated);
         assert_eq!(*result.expect("rehydrated"), vec![1; 4]);
         // Digest 2 evicted digest 1, and rehydrating 1 evicted 2 in turn.
@@ -369,16 +380,33 @@ mod tests {
     }
 
     #[test]
+    fn spills_that_fail_their_checks_are_deleted_and_recomputed() {
+        let cache = StageCache::new(1, tmp_dir("bad-spill"), &Registry::default()).expect("dir");
+        let _ = cache.get_or_compute(1, || response(1));
+        let _ = cache.get_or_compute(2, || response(2));
+        // A valid frame under the wrong digest's name, and torn bytes.
+        std::fs::copy(cache.spill_path(1), cache.spill_path(3)).expect("copy spill");
+        std::fs::write(cache.spill_path(4), b"not a frame").expect("write garbage");
+        for digest in [3, 4] {
+            let (result, outcome) = cache.get_or_compute(digest, || response(9));
+            assert_eq!(outcome, Outcome::Miss, "digest {digest}");
+            assert_eq!(*result.expect("computed fresh"), vec![9; 4]);
+        }
+        assert!(!cache.spill_path(4).exists(), "the torn spill was deleted");
+        assert_eq!(cache.metrics().rehydrations.get(), 0);
+        assert_eq!(cache.metrics().misses.get(), 4);
+    }
+
+    #[test]
     fn panics_become_typed_rejections_and_are_not_cached() {
         let cache = StageCache::new(4, tmp_dir("panic"), &Registry::default()).expect("spill dir");
-        let (result, _) =
-            cache.get_or_compute(9, || panic!("boom at subset 3"), |_| unreachable!());
+        let (result, _) = cache.get_or_compute(9, || panic!("boom at subset 3"));
         let rejection = result.expect_err("contained");
         assert_eq!(rejection.code, ErrorCode::ComputeFailed);
         assert!(rejection.message.contains("boom at subset 3"), "{rejection}");
         // The failure was not installed: the next submission recomputes
         // and can succeed.
-        let (result, outcome) = cache.get_or_compute(9, || artifacts(9), |_| unreachable!());
+        let (result, outcome) = cache.get_or_compute(9, || response(9));
         assert_eq!(outcome, Outcome::Miss);
         assert!(result.is_ok());
         assert_eq!(cache.metrics().compute_errors.get(), 1, "this cache's own count");
@@ -399,17 +427,13 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    let (result, _) = cache.get_or_compute(
-                        42,
-                        || {
-                            computes.fetch_add(1, Ordering::SeqCst);
-                            // Hold the flight open long enough for peers
-                            // to pile onto it.
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            artifacts(42)
-                        },
-                        |_| unreachable!(),
-                    );
+                    let (result, _) = cache.get_or_compute(42, || {
+                        computes.fetch_add(1, Ordering::SeqCst);
+                        // Hold the flight open long enough for peers to
+                        // pile onto it.
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        response(42)
+                    });
                     result.expect("shared result")
                 })
             })

@@ -12,7 +12,7 @@ use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use jigsaw_circuit::Circuit;
-use jigsaw_core::{JigsawConfig, JigsawResult, StageKind};
+use jigsaw_core::{JigsawConfig, JigsawResult};
 use jigsaw_device::Device;
 use jigsaw_pmf::codec::decode_from_slice;
 
@@ -83,9 +83,8 @@ impl Client {
         program: &Circuit,
         device: &Device,
         config: &JigsawConfig,
-        hint: StageKind,
     ) -> Result<JigsawResult, ClientError> {
-        let payload = self.submit_bytes(program, device, config, hint)?;
+        let payload = self.submit_bytes(program, device, config)?;
         let result = decode_from_slice(&payload).map_err(ProtocolError::Codec)?;
         Ok(result)
     }
@@ -101,16 +100,13 @@ impl Client {
         program: &Circuit,
         device: &Device,
         config: &JigsawConfig,
-        hint: StageKind,
     ) -> Result<Vec<u8>, ClientError> {
-        let mut request = JobRequest::new(program.clone(), device.clone(), config.clone());
-        request.hint = hint;
-        self.submit_request(&request)
+        self.submit_request(&JobRequest::new(program.clone(), device.clone(), config.clone()))
     }
 
     /// Submits a fully specified [`JobRequest`] — the path that exposes the
-    /// scheduling lane ([`JobRequest::priority`]) and the spill hint
-    /// together — returning the raw encoded result payload.
+    /// scheduling lane ([`JobRequest::priority`]) — returning the raw
+    /// encoded result payload.
     ///
     /// # Errors
     ///

@@ -12,11 +12,11 @@
 //!   exact `jigsaw_pmf::codec` wire types the archives use, with a
 //!   checksum span that provably catches any single-bit flip after the
 //!   magic (`docs/FORMAT.md` §6).
-//! * [`cache`] — the content-addressed stage cache: concurrent identical
+//! * [`cache`] — the content-addressed result cache: concurrent identical
 //!   submissions *coalesce* on one in-flight computation, completed
 //!   entries serve from memory under an LRU capacity bound, and eviction
-//!   archives the job's checkpoint stage through `jigsaw_core::persist`
-//!   so a resubmission *rehydrates* from disk instead of recompiling.
+//!   spills the served response as a checksummed `JobResult` frame so a
+//!   resubmission *rehydrates* from disk instead of recomputing.
 //! * [`server`] — the threaded accept loop, panic fault barrier, and
 //!   cooperative shutdown.
 //! * [`client`] — a blocking client, plus the raw hooks the concurrency
@@ -34,7 +34,7 @@
 //!
 //! ```no_run
 //! use jigsaw_circuit::bench;
-//! use jigsaw_core::{JigsawConfig, StageKind};
+//! use jigsaw_core::JigsawConfig;
 //! use jigsaw_device::Device;
 //! use jigsaw_server::client::Client;
 //! use jigsaw_server::server::{serve, ServerConfig};
@@ -42,12 +42,7 @@
 //! let handle = serve(&ServerConfig::new("/tmp/jigsaw-spill")).expect("bind");
 //! let mut client = Client::connect(handle.addr()).expect("connect");
 //! let result = client
-//!     .submit(
-//!         bench::ghz(8).circuit(),
-//!         &Device::toronto(),
-//!         &JigsawConfig::jigsaw(16_384),
-//!         StageKind::GlobalRun,
-//!     )
+//!     .submit(bench::ghz(8).circuit(), &Device::toronto(), &JigsawConfig::jigsaw(16_384))
 //!     .expect("reconstructed");
 //! println!("reconstructed {} outcomes", result.output.support_size());
 //! handle.shutdown();

@@ -498,7 +498,7 @@ fn read_full(
 }
 
 /// One reconstruction job: the producing triple [`config_digest`] covers,
-/// plus the stage the server should checkpoint for eviction spill.
+/// plus its scheduling lane and a legacy stage-hint byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     /// The measurement-free program to reconstruct.
@@ -507,11 +507,11 @@ pub struct JobRequest {
     pub device: Device,
     /// The full pipeline configuration.
     pub config: JigsawConfig,
-    /// Stage the cache archives when this job's entry is evicted. The
-    /// useful hints are [`StageKind::GlobalRun`] (the default — rehydration
-    /// replays only subset work, zero compiles) and
-    /// [`StageKind::SubsetsSelected`]; hinting `Planned` makes rehydration
-    /// recompile from scratch.
+    /// Legacy stage hint. Its byte stays on the wire and must still name a
+    /// valid [`StageKind`], but the server no longer reads it: an evicted
+    /// job spills its served response, not a pipeline stage. The field
+    /// leaves at the next protocol version bump that ships with a
+    /// benchmark update.
     pub hint: StageKind,
     /// Scheduling lane for this job (protocol v2). Excluded from
     /// [`Self::digest`] — results are priority-invariant, so identical
@@ -521,7 +521,7 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
-    /// A request with the default [`StageKind::GlobalRun`] spill hint and
+    /// A request with the default [`StageKind::GlobalRun`] hint byte and
     /// [`Priority::Interactive`] lane.
     #[must_use]
     pub fn new(program: Circuit, device: Device, config: JigsawConfig) -> Self {

@@ -12,15 +12,15 @@
 //! unbounded thread spawn or a silent hang.
 //!
 //! Submissions resolve through [`StageCache::get_or_compute`], so
-//! concurrent identical jobs still coalesce on one computation — but the
-//! computation itself is no longer run on the connection thread. It is
-//! submitted to the process-wide [`Scheduler`] in the lane the request's
-//! priority byte names, where its stages interleave with every other
-//! admitted job and its fan-out stages batch with digest-adjacent peers
-//! (see `jigsaw_core::sched`). A response is always the same bytes
-//! `run_jigsaw` would produce solo — the staged pipeline is deterministic
-//! at every thread count and the encoded `JigsawResult` excludes wall
-//! clocks — regardless of lane, interleaving or batching.
+//! concurrent identical jobs coalesce on one computation and an evicted
+//! job is served from its spilled response. The computation itself does
+//! not run on the connection thread: it is submitted to the process-wide
+//! [`Scheduler`] in the lane the request's priority byte names, where its
+//! stages interleave with every other admitted job (see
+//! `jigsaw_core::sched`). A response is always the same bytes `run_jigsaw`
+//! would produce solo — the staged pipeline is deterministic at every
+//! thread count and the encoded `JigsawResult` excludes wall clocks —
+//! regardless of lane or interleaving.
 //!
 //! Serving counters — jobs, overload refusals and the cache's outcomes —
 //! live in a [`Registry`] the server owns, so two servers in one process
@@ -45,14 +45,12 @@ use std::time::Duration;
 
 use jigsaw_core::dist::ShardRequest;
 use jigsaw_core::lockcheck::{Condvar, Mutex};
-use jigsaw_core::persist;
 use jigsaw_core::sched::{JobError, SchedConfig, Scheduler};
 use jigsaw_core::telemetry::{self, Counter, Registry};
-use jigsaw_core::StageKind;
 use jigsaw_pmf::codec::encode_to_vec;
 use jigsaw_pmf::ShardPartial;
 
-use crate::cache::{JobArtifacts, StageCache};
+use crate::cache::StageCache;
 use crate::protocol::{
     decode_shard, decode_submit, ErrorCode, Frame, FrameKind, JobRejection, JobRequest,
     ProtocolError,
@@ -68,15 +66,14 @@ pub struct ServerConfig {
     pub addr: String,
     /// Ready-entry capacity of the stage cache.
     pub capacity: usize,
-    /// Directory eviction archives spill into.
+    /// Directory evicted responses spill into.
     pub spill_dir: PathBuf,
     /// Fixed number of connection-handler threads (min 1).
     pub handlers: usize,
     /// Accepted connections waiting for a free handler beyond this bound
     /// are refused with [`ErrorCode::Overloaded`].
     pub queue_depth: usize,
-    /// Stage-scheduler configuration (worker pool, admission capacity,
-    /// cross-job batching).
+    /// Stage-scheduler configuration (worker pool, admission capacity).
     pub sched: SchedConfig,
 }
 
@@ -408,11 +405,7 @@ fn handle_submit(
     };
     metrics.jobs.inc();
     let digest = frame.digest;
-    let (result, _outcome) = cache.get_or_compute(
-        digest,
-        || compute_job(scheduler, &request),
-        |path| rehydrate_job(path, &request),
-    );
+    let (result, _outcome) = cache.get_or_compute(digest, || compute_job(scheduler, &request));
     let reply = match result {
         Ok(response) => Frame { kind: FrameKind::JobResult, digest, payload: (*response).clone() },
         Err(rejection) => {
@@ -487,63 +480,13 @@ fn reject_job(error: &JobError) -> JobRejection {
 }
 
 /// Submits the request to the stage scheduler in its priority lane and
-/// waits for the result, capturing the hinted stage as the eviction
-/// checkpoint along the way. Identical to `run_jigsaw` in result bytes:
-/// the scheduler preserves per-job bit-identity under interleaving and
-/// batching, and the result encoding excludes wall clocks.
-fn compute_job(scheduler: &Scheduler, request: &JobRequest) -> Result<JobArtifacts, JobRejection> {
+/// waits for the encoded result. Identical to `run_jigsaw` in result
+/// bytes: the scheduler preserves per-job bit-identity under interleaving,
+/// and the result encoding excludes wall clocks.
+fn compute_job(scheduler: &Scheduler, request: &JobRequest) -> Result<Vec<u8>, JobRejection> {
     let ticket = scheduler
-        .submit(
-            &request.program,
-            &request.device,
-            &request.config,
-            request.priority,
-            Some(request.hint),
-        )
+        .submit(&request.program, &request.device, &request.config, request.priority)
         .map_err(|e| reject_job(&e))?;
-    let output = ticket.wait().map_err(|e| reject_job(&e))?;
-    let checkpoint = output.checkpoint.ok_or_else(|| {
-        JobRejection::new(ErrorCode::ComputeFailed, "scheduler returned no checkpoint")
-    })?;
-    Ok((encode_to_vec(&output.result), checkpoint))
-}
-
-/// Replays a job from its eviction archive: resume the spilled stage
-/// (digest-checked against the request) and run only the downstream
-/// stages. With a `GlobalRun`-or-later checkpoint this performs zero
-/// global compiles.
-fn rehydrate_job(
-    path: &std::path::Path,
-    request: &JobRequest,
-) -> Result<JobArtifacts, JobRejection> {
-    let reject =
-        |e: persist::PersistError| JobRejection::new(ErrorCode::ComputeFailed, e.to_string());
-    let bytes = std::fs::read(path).map_err(|e| {
-        JobRejection::new(ErrorCode::ComputeFailed, format!("spill archive unreadable: {e}"))
-    })?;
-    let header = persist::read_header(&bytes).map_err(reject)?;
-    let (program, device, config) = (&request.program, &request.device, &request.config);
-    let result = match header.stage {
-        StageKind::Planned => {
-            let stage: jigsaw_core::pipeline::Planned =
-                persist::resume_from(path, program, device, config).map_err(reject)?;
-            stage.compile_global().run_global().select_subsets().run_cpms().reconstruct()
-        }
-        StageKind::GlobalCompiled => {
-            let stage: jigsaw_core::pipeline::GlobalCompiled =
-                persist::resume_from(path, program, device, config).map_err(reject)?;
-            stage.run_global().select_subsets().run_cpms().reconstruct()
-        }
-        StageKind::GlobalRun => {
-            let stage: jigsaw_core::pipeline::GlobalRun =
-                persist::resume_from(path, program, device, config).map_err(reject)?;
-            stage.select_subsets().run_cpms().reconstruct()
-        }
-        StageKind::SubsetsSelected => {
-            let stage: jigsaw_core::pipeline::SubsetsSelected =
-                persist::resume_from(path, program, device, config).map_err(reject)?;
-            stage.run_cpms().reconstruct()
-        }
-    };
-    Ok((encode_to_vec(&result), bytes))
+    let result = ticket.wait().map_err(|e| reject_job(&e))?;
+    Ok(encode_to_vec(&result))
 }

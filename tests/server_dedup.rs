@@ -15,7 +15,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use jigsaw_repro::circuit::bench;
-use jigsaw_repro::core::{run_jigsaw, JigsawConfig, StageKind};
+use jigsaw_repro::core::{run_jigsaw, JigsawConfig};
 use jigsaw_repro::device::Device;
 use jigsaw_repro::pmf::codec::encode_to_vec;
 use jigsaw_repro::server::client::Client;
@@ -43,7 +43,7 @@ fn submit(addr: SocketAddr, seed: u64) -> Vec<u8> {
     let (program, device, config) = job(seed);
     Client::connect(addr)
         .expect("connect")
-        .submit_bytes(&program, &device, &config, StageKind::GlobalRun)
+        .submit_bytes(&program, &device, &config)
         .expect("job accepted")
 }
 
@@ -144,12 +144,8 @@ fn sequential_resubmission_serves_cached_bytes() {
     let (program, device, config) = job(42);
 
     let mut client = Client::connect(addr).expect("connect");
-    let first = client
-        .submit_bytes(&program, &device, &config, StageKind::GlobalRun)
-        .expect("first submission");
-    let second = client
-        .submit_bytes(&program, &device, &config, StageKind::GlobalRun)
-        .expect("second submission");
+    let first = client.submit_bytes(&program, &device, &config).expect("first submission");
+    let second = client.submit_bytes(&program, &device, &config).expect("second submission");
     let misses = counter(addr, "jigsaw_server_cache_misses_total");
     let hits = counter(addr, "jigsaw_server_cache_hits_total");
     handle.shutdown();

@@ -1,9 +1,9 @@
-//! Eviction equivalence: filling the cache past capacity forces an
-//! archive-backed eviction; resubmitting the evicted digest must serve a
+//! Eviction equivalence: filling the cache past capacity forces a spilled
+//! eviction; resubmitting the evicted digest must serve a
 //! **byte-identical** response without recomputing it — the rehydration
-//! path resumes the spilled archive and replays only the downstream
-//! stages, so the server's miss count (one global compile per miss) does
-//! not move.
+//! path reads the spilled response frame back, so the server's miss count
+//! (one global compile per miss) does not move. A spill that fails its
+//! checks is a miss, never a lasting error.
 //!
 //! Every count is read from the server's own metrics frame: each server
 //! keeps its own registry, so sibling tests in this binary cannot disturb
@@ -12,8 +12,10 @@
 use std::net::SocketAddr;
 
 use jigsaw_repro::circuit::bench;
-use jigsaw_repro::core::{telemetry, JigsawConfig, StageKind};
+use jigsaw_repro::core::persist::config_digest;
+use jigsaw_repro::core::{run_jigsaw, telemetry, JigsawConfig};
 use jigsaw_repro::device::Device;
+use jigsaw_repro::pmf::codec::encode_to_vec;
 use jigsaw_repro::server::client::Client;
 use jigsaw_repro::server::server::{serve, ServerConfig};
 
@@ -35,9 +37,9 @@ fn job(seed: u64) -> (jigsaw_repro::circuit::Circuit, Device, JigsawConfig) {
     (bench::ghz(6).circuit().clone(), Device::toronto(), config)
 }
 
-fn submit(client: &mut Client, seed: u64, hint: StageKind) -> Vec<u8> {
+fn submit(client: &mut Client, seed: u64) -> Vec<u8> {
     let (program, device, config) = job(seed);
-    client.submit_bytes(&program, &device, &config, hint).expect("job accepted")
+    client.submit_bytes(&program, &device, &config).expect("job accepted")
 }
 
 /// One unlabelled counter of the server at `addr`, from its metrics frame.
@@ -56,8 +58,8 @@ fn evicted_digest_rehydrates_byte_identically_with_zero_compiles() {
     let mut client = Client::connect(addr).expect("connect");
 
     // Job A fills the single slot; job B forces A's eviction to disk.
-    let first_a = submit(&mut client, 1, StageKind::GlobalRun);
-    let _b = submit(&mut client, 2, StageKind::GlobalRun);
+    let first_a = submit(&mut client, 1);
+    let _b = submit(&mut client, 2);
     assert_eq!(counter(addr, EVICTIONS), 1, "capacity 1 must evict A");
     let spilled: Vec<_> = std::fs::read_dir(&spill)
         .expect("spill dir exists")
@@ -68,28 +70,37 @@ fn evicted_digest_rehydrates_byte_identically_with_zero_compiles() {
 
     // Resubmit A: identical bytes, served from the archive, no fresh
     // computation and hence no global compile.
-    let second_a = submit(&mut client, 1, StageKind::GlobalRun);
+    let second_a = submit(&mut client, 1);
     assert_eq!(first_a, second_a, "rehydrated response must be byte-identical");
     assert_eq!(counter(addr, REHYDRATIONS), 1, "served via the rehydrate path");
     assert_eq!(counter(addr, MISSES), 2, "rehydration must not recompute anything");
     handle.shutdown();
 }
 
-/// The same equivalence holds for a `SubsetsSelected` checkpoint hint —
-/// rehydration replays even less of the pipeline.
+/// A spill that fails its checks is deleted and the job computed fresh in
+/// the same request: flipping one byte of an evicted job's spill costs
+/// one recomputation, and the resubmission still gets its solo bytes.
 #[test]
-fn subsets_selected_hint_rehydrates_equivalently() {
-    let handle =
-        serve(&ServerConfig::new(spill_dir("subsets-hint")).with_capacity(1)).expect("bind");
+fn corrupt_spill_is_recomputed_to_solo_bytes() {
+    let spill = spill_dir("corrupt");
+    let handle = serve(&ServerConfig::new(spill.clone()).with_capacity(1)).expect("bind");
     let addr = handle.addr();
     let mut client = Client::connect(addr).expect("connect");
 
-    let first = submit(&mut client, 11, StageKind::SubsetsSelected);
-    let _evictor = submit(&mut client, 12, StageKind::GlobalRun);
-    let second = submit(&mut client, 11, StageKind::SubsetsSelected);
-    assert_eq!(first, second, "byte-identical across the eviction round-trip");
-    assert_eq!(counter(addr, REHYDRATIONS), 1, "served via the rehydrate path");
-    assert_eq!(counter(addr, MISSES), 2, "no compiles on rehydrate");
+    // Job A fills the single slot; job B evicts it to disk.
+    let (program, device, config) = job(31);
+    let _a = submit(&mut client, 31);
+    let _b = submit(&mut client, 32);
+    let path = spill.join(format!("{:016x}.jigsaw", config_digest(&program, &device, &config)));
+    let mut bytes = std::fs::read(&path).expect("eviction spilled A");
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x01;
+    std::fs::write(&path, &bytes).expect("corrupt the spill");
+
+    let solo = encode_to_vec(&run_jigsaw(&program, &device, &config));
+    assert_eq!(submit(&mut client, 31), solo, "a corrupt spill must not reach the client");
+    assert_eq!(counter(addr, REHYDRATIONS), 0, "the corrupt spill was not served");
+    assert_eq!(counter(addr, MISSES), 3, "A was computed fresh, counted as a miss");
     handle.shutdown();
 }
 
@@ -102,9 +113,9 @@ fn rehydration_counter_shows_in_the_metrics_frame() {
     let addr = handle.addr();
     let mut client = Client::connect(addr).expect("connect");
 
-    let _a = submit(&mut client, 21, StageKind::GlobalRun);
-    let _b = submit(&mut client, 22, StageKind::GlobalRun);
-    let _a_again = submit(&mut client, 21, StageKind::GlobalRun);
+    let _a = submit(&mut client, 21);
+    let _b = submit(&mut client, 22);
+    let _a_again = submit(&mut client, 21);
 
     // B evicts A, and A's rehydration evicts B in turn.
     assert_eq!(counter(addr, EVICTIONS), 2, "evictions counted");

@@ -20,7 +20,7 @@ use jigsaw_repro::circuit::bench;
 use jigsaw_repro::core::dist::{Shard, ShardRequest};
 use jigsaw_repro::core::pipeline::JigsawPipeline;
 use jigsaw_repro::core::sched::Priority;
-use jigsaw_repro::core::{run_jigsaw, JigsawConfig, StageKind};
+use jigsaw_repro::core::{run_jigsaw, JigsawConfig};
 use jigsaw_repro::device::Device;
 use jigsaw_repro::pmf::codec::{decode_from_slice, encode_to_vec, fnv1a64, CodecError};
 use jigsaw_repro::pmf::ShardPartial;
@@ -381,7 +381,7 @@ fn live_server_survives_garbage_and_keeps_serving() {
     // The server is still alive and correct.
     let mut client = Client::connect(addr).expect("connect");
     let payload = client
-        .submit_bytes(&request.program, &request.device, &request.config, StageKind::GlobalRun)
+        .submit_bytes(&request.program, &request.device, &request.config)
         .expect("server still serves real jobs");
     let solo = encode_to_vec(&run_jigsaw(&request.program, &request.device, &request.config));
     assert_eq!(payload, solo, "post-fuzz response still bit-identical to solo run");
