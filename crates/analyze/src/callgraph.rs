@@ -48,8 +48,10 @@
 //! replaces the fixed five-file whitelist the `panic-free` rule used
 //! through PR 8: the policed file set is now *derived* from reachability
 //! and grows automatically when a new decoder calls into a helper.
+//! Every configured entry and boundary row must name a function in the
+//! index; a row that names none is itself a finding ([`unresolved_rows`]).
 
-use crate::config::Config;
+use crate::config::{Config, EntryPoint};
 use crate::rules::{indexing_sites, Violation, PANIC_TOKENS};
 use crate::scan::SourceLine;
 use crate::FileSource;
@@ -518,20 +520,14 @@ pub fn panic_reach(cfg: &Config, files: &[FileSource], index: &FnIndex) -> Vec<V
     let mut queue: Vec<usize> = Vec::new();
     for (i, f) in index.fns.iter().enumerate() {
         let is_decode_impl = f.name == "decode" && f.trait_name.as_deref() == Some("Decode");
-        let is_listed =
-            cfg.panic_entries.iter().any(|e| e.func == f.name && files[f.file].rel == e.file);
+        let is_listed = cfg.panic_entries.iter().any(|e| names(e, f, files));
         if is_decode_impl || is_listed {
             entry_of[i] = Some(i);
             queue.push(i);
         }
     }
-    let boundary: Vec<bool> = index
-        .fns
-        .iter()
-        .map(|f| {
-            cfg.trust_boundaries.iter().any(|b| b.func == f.name && files[f.file].rel == b.file)
-        })
-        .collect();
+    let boundary: Vec<bool> =
+        index.fns.iter().map(|f| cfg.trust_boundaries.iter().any(|b| names(b, f, files))).collect();
     // BFS with a parent pointer for witness chains.
     let mut parent: Vec<Option<usize>> = vec![None; index.fns.len()];
     let mut head = 0;
@@ -597,6 +593,36 @@ pub fn panic_reach(cfg: &Config, files: &[FileSource], index: &FnIndex) -> Vec<V
         }
     }
     out
+}
+
+/// `panic-reach` configuration audit: every [`Config::panic_entries`] and
+/// [`Config::trust_boundaries`] row must name an indexed function. A row
+/// that names none is reported, because a renamed or moved function would
+/// otherwise lose the coverage (or the barrier) its row was written for
+/// without a finding.
+#[must_use]
+pub fn unresolved_rows(cfg: &Config, files: &[FileSource], index: &FnIndex) -> Vec<Violation> {
+    let entries = cfg.panic_entries.iter().map(|row| (row, "untrusted entry point"));
+    let barriers = cfg.trust_boundaries.iter().map(|row| (row, "trust boundary"));
+    entries
+        .chain(barriers)
+        .filter(|(row, _)| !index.fns.iter().any(|f| names(row, f, files)))
+        .map(|(row, what)| Violation {
+            file: row.file.clone(),
+            line: 1,
+            rule: "panic-reach",
+            message: format!(
+                "configured {what} `{}` matches no function in {}: the row covers nothing; \
+                 rename it with its function or delete it",
+                row.func, row.file
+            ),
+        })
+        .collect()
+}
+
+/// Whether a configured row names the indexed function `f`.
+fn names(row: &EntryPoint, f: &FnInfo, files: &[FileSource]) -> bool {
+    f.name == row.func && files[f.file].rel == row.file
 }
 
 /// Non-test classified lines of a function body.

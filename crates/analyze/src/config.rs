@@ -273,7 +273,8 @@ impl Config {
                 entry("crates/server/src/server.rs", "handle_connection"),
                 entry("crates/server/src/server.rs", "handle_submit"),
                 entry("crates/server/src/server.rs", "handle_shard"),
-                entry(PERSIST, "read_header"),
+                entry("crates/pmf/src/envelope.rs", "parse_header"),
+                entry("crates/pmf/src/envelope.rs", "open"),
                 entry(PERSIST, "from_bytes"),
                 entry(PERSIST, "load_stage"),
                 entry(PERSIST, "resume_from"),

@@ -146,6 +146,7 @@ pub fn run_files(cfg: &Config, files: &[FileSource], spec_text: Option<&str>) ->
     }
     let index = callgraph::build_index(files);
     raw.extend(callgraph::panic_reach(cfg, files, &index));
+    raw.extend(callgraph::unresolved_rows(cfg, files, &index));
     raw.extend(flow::salt_ranges(cfg, files));
     if let Some(text) = spec_text {
         raw.extend(spec::format_drift(cfg, text, files, &index));
@@ -338,6 +339,9 @@ mod tests {
         let mut cfg = tiny_cfg();
         cfg.spec_path = None;
         cfg.salt_file = None;
+        // The one-file corpus holds none of the workspace's entry rows.
+        cfg.panic_entries.clear();
+        cfg.trust_boundaries.clear();
         let src =
             "// analyze:allow(det-map, fixture justification)\nuse std::collections::HashMap;\n";
         let files = [FileSource {

@@ -6,7 +6,7 @@
 
 use std::path::Path;
 
-use jigsaw_analyze::config::{FactKind, SpecBinding};
+use jigsaw_analyze::config::{EntryPoint, FactKind, SpecBinding};
 use jigsaw_analyze::{load_files, run, run_files, scan, Config, FileSource, LockDef, Violation};
 
 /// Policy pointed at the fixture corpus: the `demo` crate is
@@ -18,7 +18,10 @@ fn fixture_config() -> Config {
     cfg.scan_dirs = vec!["crates".to_owned()];
     cfg.result_crates = vec!["demo".to_owned()];
     cfg.det_map_exempt.clear();
+    // The workspace's entry and boundary rows name functions the fixture
+    // corpus does not have.
     cfg.panic_entries.clear();
+    cfg.trust_boundaries.clear();
     cfg.salt_file = None;
     cfg.spec_path = Some("docs/FORMAT.md".to_owned());
     let wire = "crates/demo/src/wire.rs";
@@ -161,6 +164,28 @@ fn panic_reach_spares_the_unreachable_helper() {
 }
 
 #[test]
+fn entry_and_boundary_rows_that_match_no_function_are_findings() {
+    // A renamed function must not take its panic-reach coverage (or its
+    // barrier) away silently: the stale row itself is reported.
+    let row = |file: &str, func: &str| EntryPoint { file: file.to_owned(), func: func.to_owned() };
+    let mut cfg = fixture_config();
+    cfg.panic_entries.push(row("crates/demo/src/panic_bad.rs", "read_header"));
+    cfg.trust_boundaries.push(row("crates/demo/src/gone.rs", "finish"));
+    // Rows that do resolve stay silent.
+    cfg.trust_boundaries.push(row("crates/demo/src/panic_bad.rs", "cold_helper"));
+    let violations = run(&cfg).expect("fixture corpus scans").violations;
+    let stale: Vec<&Violation> = rule_hits(&violations, "panic-reach")
+        .into_iter()
+        .filter(|v| v.message.contains("matches no function"))
+        .collect();
+    assert_eq!(stale.len(), 2, "{stale:#?}");
+    assert_eq!(stale[0].file, "crates/demo/src/gone.rs");
+    assert!(stale[0].message.contains("trust boundary `finish`"), "{}", stale[0]);
+    assert_eq!(stale[1].file, "crates/demo/src/panic_bad.rs");
+    assert!(stale[1].message.contains("untrusted entry point `read_header`"), "{}", stale[1]);
+}
+
+#[test]
 fn seed_flow_catches_each_shape() {
     let violations = fixture_violations();
     let hits = rule_hits(&violations, "seed-flow");
@@ -243,6 +268,7 @@ fn format_drift_allow_round_trips() {
     let mut cfg = Config::workspace(".");
     cfg.salt_file = None;
     cfg.panic_entries.clear();
+    cfg.trust_boundaries.clear();
     cfg.spec_bindings = vec![SpecBinding {
         key: "archive.version".to_owned(),
         file: "crates/demo/src/v.rs".to_owned(),

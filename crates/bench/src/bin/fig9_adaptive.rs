@@ -32,7 +32,7 @@ use jigsaw_bench::cli::Args;
 use jigsaw_bench::harness::harness_compiler;
 use jigsaw_bench::table;
 use jigsaw_circuit::bench::{self, Benchmark};
-use jigsaw_core::persist::PersistError;
+use jigsaw_core::persist::{self, PersistError};
 use jigsaw_core::pipeline::{GlobalRun, JigsawPipeline};
 use jigsaw_core::{JigsawConfig, SubsetSelection};
 use jigsaw_device::Device;
@@ -63,14 +63,14 @@ fn load_or_build(
 ) -> (GlobalRun, bool) {
     if let Some(dir) = dir {
         let path = checkpoint_path(dir, bench);
-        match JigsawPipeline::resume_from::<GlobalRun>(&path, bench.circuit(), device, config) {
+        match persist::resume_from::<GlobalRun>(&path, bench.circuit(), device, config) {
             Ok(run) => return (run, true),
             Err(PersistError::Io { .. }) => {} // no checkpoint yet
             Err(e) => eprintln!("[fig9_adaptive] {}: rebuilding checkpoint: {e}", bench.name()),
         }
         let run =
             JigsawPipeline::plan(bench.circuit(), device, config).compile_global().run_global();
-        if let Err(e) = JigsawPipeline::save_stage(&run, &path) {
+        if let Err(e) = persist::save_stage(&run, &path) {
             eprintln!("[fig9_adaptive] {}: could not save checkpoint: {e}", bench.name());
         }
         (run, false)

@@ -26,8 +26,8 @@
 //! upstream stages (`Planned`/`GlobalCompiled`/`GlobalRun`/
 //! `SubsetsSelected`) into a versioned, digest-checked archive
 //! (`docs/FORMAT.md`), so sweeps resume across processes and machines —
-//! `JigsawPipeline::{save_stage, resume_from}` refuse mismatched
-//! configurations instead of silently diverging.
+//! [`persist::resume_from`] refuses mismatched configurations instead of
+//! silently diverging.
 //!
 //! Also here: the [`mbm`] baseline (IBM's matrix-based mitigation,
 //! Fig. 14), the [`scalability`] model behind Table 7, and [`Scores`]
@@ -78,7 +78,6 @@
 //! }
 //! ```
 
-pub mod angles;
 pub mod bayes;
 pub mod dist;
 mod evaluate;

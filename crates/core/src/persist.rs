@@ -3,7 +3,9 @@
 //! within one process.
 //!
 //! A checkpoint wraps one encoded stage ([`Planned`], [`GlobalCompiled`],
-//! [`GlobalRun`] or [`SubsetsSelected`]) in a small self-describing frame:
+//! [`GlobalRun`] or [`SubsetsSelected`]) in the workspace's shared
+//! [`envelope`] (the header, checksum span, payload cap and check order the
+//! job frames use) under the archive's own magic and version:
 //!
 //! ```text
 //! offset  size  field
@@ -12,9 +14,9 @@
 //!     10     1  stage kind (1 planned … 4 subsets-selected)
 //!     11     8  config digest: FNV-1a64 over encode(program) ‖
 //!               encode(device) ‖ encode(config)
-//!     19     8  payload length N (u64 LE)
+//!     19     8  payload length N (u64 LE, at most 2^28)
 //!     27     N  payload: the stage's `Encode` bytes
-//!   27+N     8  payload checksum (FNV-1a64)
+//!   27+N     8  checksum: FNV-1a64 over bytes [8, 27+N)
 //! ```
 //!
 //! `docs/FORMAT.md` specifies every section byte by byte. Three properties
@@ -26,10 +28,10 @@
 //!   resuming under a silently different configuration is the failure mode
 //!   the digest exists to make loud.
 //! * **Corruption is typed, never a panic.** Flipped magic bytes, unknown
-//!   versions or stages, short reads, payload bit-flips and trailing
-//!   garbage all surface as distinct [`PersistError`] variants (every
-//!   single-byte change is caught: the FNV-1a step is a bijection of the
-//!   running state, and the header fields are each independently checked).
+//!   versions or stages, short reads, bit-flips and trailing garbage all
+//!   surface as distinct [`EnvelopeError`] variants inside
+//!   [`PersistError::Envelope`]. Every single-byte change is caught: the
+//!   magic is compared, and the checksum covers every byte after it.
 //! * **Determinism.** Stage encodings are canonical and exclude wall-clock
 //!   telemetry, so two runs of the same seed produce *byte-identical*
 //!   archives, and `decode(encode(x))` re-encodes to the original bytes.
@@ -74,10 +76,13 @@ use std::path::{Path, PathBuf};
 
 use jigsaw_circuit::Circuit;
 use jigsaw_device::Device;
-use jigsaw_pmf::codec::{self, CodecError, Decode, Encode};
+use jigsaw_pmf::codec::{self, Decode, Encode};
+use jigsaw_pmf::envelope::{self, Envelope, EnvelopeError};
 
 use crate::jigsaw::JigsawConfig;
-use crate::pipeline::{GlobalCompiled, GlobalRun, JigsawPipeline, Planned, SubsetsSelected};
+use crate::pipeline::{GlobalCompiled, GlobalRun, Planned, SubsetsSelected};
+
+pub use jigsaw_pmf::envelope::HEADER_LEN;
 
 /// Archive magic: `\x89JSW\r\n\x1a\n`. PNG-style — the high first byte
 /// catches 7-bit strippers, the `\r\n` and `\x1a` catch newline translation
@@ -88,12 +93,14 @@ pub const MAGIC: [u8; 8] = *b"\x89JSW\r\n\x1a\x0a";
 /// the migration in `docs/FORMAT.md`.
 ///
 /// **Version history.** v1: initial layout. v2: every `StageRecord` in the
-/// stage context carries its compile count; v1 archives are refused with
-/// [`PersistError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u16 = 2;
+/// stage context carries its compile count. v3: the archive moved into the
+/// shared envelope, so its checksum covers every byte after the magic (v2
+/// covered only the payload) and payloads are capped at 2^28 bytes. Older
+/// archives are refused with [`EnvelopeError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u16 = 3;
 
-/// Fixed byte length of the archive header (everything before the payload).
-pub const HEADER_LEN: usize = 8 + 2 + 1 + 8 + 8;
+/// The archive's envelope format.
+const ARCHIVE: Envelope = Envelope { magic: MAGIC, version: FORMAT_VERSION };
 
 /// Which pipeline stage an archive holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,19 +152,6 @@ impl fmt::Display for StageKind {
     }
 }
 
-/// The parsed fixed-size prefix of an archive (see [`read_header`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArchiveHeader {
-    /// Format version the archive was written with.
-    pub version: u16,
-    /// Stage the payload holds.
-    pub stage: StageKind,
-    /// FNV-1a64 digest of the producing `(program, device, config)`.
-    pub config_digest: u64,
-    /// Payload byte length.
-    pub payload_len: u64,
-}
-
 /// Everything that can go wrong saving, loading or resuming an archive.
 /// Corrupt input of any shape maps to a variant here — never a panic.
 #[derive(Debug)]
@@ -169,56 +163,15 @@ pub enum PersistError {
         /// Underlying I/O error.
         source: io::Error,
     },
-    /// The input is shorter than the structure it claims to hold.
-    Truncated {
-        /// Bytes the structure needs.
-        needed: usize,
-        /// Bytes actually present.
-        len: usize,
-    },
-    /// The first eight bytes are not [`MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 8],
-    },
-    /// The archive was written by an unknown format version.
-    UnsupportedVersion {
-        /// Version found in the header.
-        found: u16,
-    },
-    /// The stage tag byte has no known [`StageKind`].
-    UnknownStage {
-        /// The unrecognised tag.
-        tag: u8,
-    },
+    /// The bytes are not an intact archive of this format version, or the
+    /// payload does not decode and bind to its header digest.
+    Envelope(EnvelopeError),
     /// The archive holds a different stage than the caller requested.
     WrongStage {
         /// Stage the caller asked for.
         expected: StageKind,
         /// Stage the archive holds.
         found: StageKind,
-    },
-    /// The header declares a payload longer than this platform can even
-    /// address — the length prefix is corrupt (or hostile), and no amount
-    /// of further input could satisfy it.
-    Oversized {
-        /// Payload length the header claims.
-        payload_len: u64,
-    },
-    /// The payload bytes do not match their stored checksum.
-    ChecksumMismatch {
-        /// Checksum stored in the archive.
-        stored: u64,
-        /// Checksum of the bytes actually present.
-        computed: u64,
-    },
-    /// The header's config digest does not match the decoded payload —
-    /// the header was edited independently of the body.
-    DigestMismatch {
-        /// Digest stored in the header.
-        stored: u64,
-        /// Digest recomputed from the decoded stage.
-        computed: u64,
     },
     /// The archive was produced under a different `(program, device,
     /// config)` than the caller is resuming with — resuming would silently
@@ -230,54 +183,21 @@ pub enum PersistError {
         /// Digest of the caller's inputs.
         caller: u64,
     },
-    /// The payload failed to decode (truncated, bad tags, invariant
-    /// violations).
-    Codec(CodecError),
-    /// Bytes remain after the checksum — the archive has trailing garbage.
-    TrailingBytes {
-        /// Number of extra bytes.
-        remaining: usize,
-    },
 }
 
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Io { path, source } => write!(f, "{}: {source}", path.display()),
-            Self::Truncated { needed, len } => {
-                write!(f, "archive truncated: needs {needed} bytes, has {len}")
-            }
-            Self::BadMagic { found } => write!(f, "not a JigSaw archive (magic {found:02x?})"),
-            Self::UnsupportedVersion { found } => write!(
-                f,
-                "archive format version {found} is not supported (this build reads \
-                 {FORMAT_VERSION})"
-            ),
-            Self::UnknownStage { tag } => write!(f, "unknown stage tag {tag:#04x}"),
+            Self::Envelope(e) => write!(f, "invalid archive: {e}"),
             Self::WrongStage { expected, found } => {
                 write!(f, "archive holds a {found} stage, expected {expected}")
             }
-            Self::Oversized { payload_len } => {
-                write!(f, "header claims a {payload_len}-byte payload, beyond addressable memory")
-            }
-            Self::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "payload checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
-            Self::DigestMismatch { stored, computed } => write!(
-                f,
-                "header config digest {stored:#018x} does not match the payload's \
-                 {computed:#018x}"
-            ),
             Self::ConfigMismatch { archive, caller } => write!(
                 f,
                 "archive was produced under config digest {archive:#018x} but the resume \
                  supplies {caller:#018x}; refusing to resume a mismatched configuration"
             ),
-            Self::Codec(e) => write!(f, "payload decode failed: {e}"),
-            Self::TrailingBytes { remaining } => {
-                write!(f, "{remaining} trailing bytes after the archive")
-            }
         }
     }
 }
@@ -286,15 +206,15 @@ impl std::error::Error for PersistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Io { source, .. } => Some(source),
-            Self::Codec(e) => Some(e),
+            Self::Envelope(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<CodecError> for PersistError {
-    fn from(e: CodecError) -> Self {
-        Self::Codec(e)
+impl From<EnvelopeError> for PersistError {
+    fn from(e: EnvelopeError) -> Self {
+        Self::Envelope(e)
     }
 }
 
@@ -308,7 +228,8 @@ mod sealed {
 }
 
 /// A pipeline stage that can live in an archive. Sealed: exactly the four
-/// resumable stages of [`JigsawPipeline`] implement it.
+/// resumable stages of [`JigsawPipeline`](crate::JigsawPipeline) implement
+/// it.
 pub trait StageArtifact: Encode + Decode + sealed::Sealed {
     /// The stage tag this artifact is framed with.
     const KIND: StageKind;
@@ -362,102 +283,33 @@ pub fn config_digest(program: &Circuit, device: &Device, config: &JigsawConfig) 
     codec::fnv1a64(w.as_bytes())
 }
 
+/// The config digest of the inputs that produced `stage`.
+fn stage_digest<S: StageArtifact>(stage: &S) -> u64 {
+    let (program, device, config) = stage.producing_inputs();
+    config_digest(program, device, config)
+}
+
 /// Frames a stage into a standalone archive byte vector.
 #[must_use]
 pub fn to_bytes<S: StageArtifact>(stage: &S) -> Vec<u8> {
-    let payload = codec::encode_to_vec(stage);
-    let (program, device, config) = stage.producing_inputs();
-    let mut w = jigsaw_pmf::codec::Writer::new();
-    w.put_bytes(&MAGIC);
-    w.put_u16(FORMAT_VERSION);
-    w.put_u8(S::KIND.code());
-    w.put_u64(config_digest(program, device, config));
-    w.put_u64(payload.len() as u64);
-    w.put_bytes(&payload);
-    w.put_u64(codec::fnv1a64(&payload));
-    w.into_bytes()
+    ARCHIVE.seal(S::KIND.code(), stage_digest(stage), &codec::encode_to_vec(stage))
 }
 
-/// Parses and validates the fixed-size archive header.
-///
-/// # Errors
-///
-/// Returns [`PersistError::Truncated`], [`PersistError::BadMagic`],
-/// [`PersistError::UnsupportedVersion`] or [`PersistError::UnknownStage`].
-pub fn read_header(bytes: &[u8]) -> Result<ArchiveHeader, PersistError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(PersistError::Truncated { needed: HEADER_LEN, len: bytes.len() });
-    }
-    let magic: [u8; 8] = field(bytes, 0)?;
-    if magic != MAGIC {
-        return Err(PersistError::BadMagic { found: magic });
-    }
-    let version = u16::from_le_bytes(field(bytes, 8)?);
-    if version != FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion { found: version });
-    }
-    let tag = bytes
-        .get(10)
-        .copied()
-        .ok_or(PersistError::Truncated { needed: HEADER_LEN, len: bytes.len() })?;
-    let stage = StageKind::from_code(tag).ok_or(PersistError::UnknownStage { tag })?;
-    let config_digest = u64::from_le_bytes(field(bytes, 11)?);
-    let payload_len = u64::from_le_bytes(field(bytes, 19)?);
-    Ok(ArchiveHeader { version, stage, config_digest, payload_len })
-}
-
-/// Reads the `N`-byte field at offset `at`, reporting truncation as a
-/// typed error (unreachable once the caller has length-checked, but this
-/// decode path never panics on principle).
-fn field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], PersistError> {
-    bytes
-        .get(at..at.saturating_add(N))
-        .and_then(|s| <[u8; N]>::try_from(s).ok())
-        .ok_or(PersistError::Truncated { needed: at.saturating_add(N), len: bytes.len() })
-}
-
-/// Decodes a stage from a standalone archive, verifying the frame end to
-/// end: magic, version, stage kind, payload checksum, and the binding
-/// between the header digest and the decoded payload.
+/// Decodes a stage from a standalone archive, verifying it end to end: the
+/// envelope (length, magic, version, stage tag, payload cap, total length,
+/// trailing bytes, checksum), then the requested stage kind, the payload
+/// decode, and the binding between the header digest and the decoded
+/// payload.
 ///
 /// # Errors
 ///
 /// Returns the precise [`PersistError`] for whichever check fails.
 pub fn from_bytes<S: StageArtifact>(bytes: &[u8]) -> Result<S, PersistError> {
-    let header = read_header(bytes)?;
-    if header.stage != S::KIND {
-        return Err(PersistError::WrongStage { expected: S::KIND, found: header.stage });
+    let (header, payload) = ARCHIVE.open(bytes, StageKind::from_code)?;
+    if header.tag != S::KIND {
+        return Err(PersistError::WrongStage { expected: S::KIND, found: header.tag });
     }
-    let payload_len = usize::try_from(header.payload_len)
-        .map_err(|_| PersistError::Oversized { payload_len: header.payload_len })?;
-    let total = HEADER_LEN
-        .checked_add(payload_len)
-        .and_then(|n| n.checked_add(8))
-        .ok_or(PersistError::Oversized { payload_len: header.payload_len })?;
-    if bytes.len() < total {
-        return Err(PersistError::Truncated { needed: total, len: bytes.len() });
-    }
-    if bytes.len() > total {
-        return Err(PersistError::TrailingBytes { remaining: bytes.len() - total });
-    }
-    let payload = bytes
-        .get(HEADER_LEN..HEADER_LEN + payload_len)
-        .ok_or(PersistError::Truncated { needed: total, len: bytes.len() })?;
-    let stored = u64::from_le_bytes(field(bytes, total - 8)?);
-    let computed = codec::fnv1a64(payload);
-    if stored != computed {
-        return Err(PersistError::ChecksumMismatch { stored, computed });
-    }
-    let stage: S = codec::decode_from_slice(payload)?;
-    let (program, device, config) = stage.producing_inputs();
-    let body_digest = config_digest(program, device, config);
-    if body_digest != header.config_digest {
-        return Err(PersistError::DigestMismatch {
-            stored: header.config_digest,
-            computed: body_digest,
-        });
-    }
-    Ok(stage)
+    Ok(envelope::decode_bound(header.digest, payload, stage_digest)?)
 }
 
 /// Writes a stage archive to `path`, atomically: the bytes land in a
@@ -469,13 +321,8 @@ pub fn from_bytes<S: StageArtifact>(bytes: &[u8]) -> Result<S, PersistError> {
 /// Returns [`PersistError::Io`] on filesystem failure.
 pub fn save_stage<S: StageArtifact>(stage: &S, path: impl AsRef<Path>) -> Result<(), PersistError> {
     let path = path.as_ref();
-    let io_err = |source| PersistError::Io { path: path.to_path_buf(), source };
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, to_bytes(stage))
-        .map_err(|source| PersistError::Io { path: tmp.clone(), source })?;
-    std::fs::rename(&tmp, path).map_err(io_err)
+    envelope::write_atomic(path, &to_bytes(stage))
+        .map_err(|source| PersistError::Io { path: path.to_path_buf(), source })
 }
 
 /// Reads and fully verifies a stage archive from `path`.
@@ -496,8 +343,8 @@ pub fn load_stage<S: StageArtifact>(path: impl AsRef<Path>) -> Result<S, Persist
 /// with, and an archive produced under any other configuration is rejected
 /// with [`PersistError::ConfigMismatch`].
 ///
-/// The frame is fully verified *first* (checksum, digest-to-body binding,
-/// decode), so corruption reports as corruption — the config comparison
+/// The archive is fully verified *first* (checksum, decode, digest-to-body
+/// binding), so corruption reports as corruption — the config comparison
 /// only runs against an archive proven intact, which is what makes
 /// `ConfigMismatch` a trustworthy "wrong configuration" diagnostic rather
 /// than a possible disguise for a flipped header byte.
@@ -518,48 +365,17 @@ pub fn resume_from<S: StageArtifact>(
 ) -> Result<S, PersistError> {
     let stage: S = load_stage(path)?;
     let caller = config_digest(program, device, config);
-    let (p, d, c) = stage.producing_inputs();
-    let archive = config_digest(p, d, c);
+    let archive = stage_digest(&stage);
     if archive != caller {
         return Err(PersistError::ConfigMismatch { archive, caller });
     }
     Ok(stage)
 }
 
-/// The facade of the persistence layer on the pipeline entry point.
-impl JigsawPipeline {
-    /// Saves a stage checkpoint to `path` (see [`save_stage`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on filesystem failure.
-    pub fn save_stage<S: StageArtifact>(
-        stage: &S,
-        path: impl AsRef<Path>,
-    ) -> Result<(), PersistError> {
-        save_stage(stage, path)
-    }
-
-    /// Resumes a stage checkpoint from `path`, refusing archives produced
-    /// under a different `(program, device, config)` (see [`resume_from`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::ConfigMismatch`] on a mismatched resume, or
-    /// any verification/IO error of [`load_stage`].
-    pub fn resume_from<S: StageArtifact>(
-        path: impl AsRef<Path>,
-        program: &Circuit,
-        device: &Device,
-        config: &JigsawConfig,
-    ) -> Result<S, PersistError> {
-        resume_from(path, program, device, config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JigsawPipeline;
     use jigsaw_circuit::bench;
     use jigsaw_compiler::CompilerOptions;
 
@@ -576,6 +392,14 @@ mod tests {
         let config = quick_config(600).with_seed(11);
         let run = JigsawPipeline::plan(b.circuit(), &device, &config).compile_global().run_global();
         (device, b, config, run)
+    }
+
+    /// Recomputes the trailing checksum, as a forger editing the header
+    /// would, so the forged bytes pass the envelope's checks.
+    fn reseal(bytes: &mut [u8]) {
+        let end = bytes.len() - 8;
+        let checksum = codec::fnv1a64(&bytes[8..end]);
+        bytes[end..].copy_from_slice(&checksum.to_le_bytes());
     }
 
     #[test]
@@ -606,6 +430,15 @@ mod tests {
         let bytes = to_bytes(&run);
         let decoded: GlobalRun = from_bytes(&bytes).unwrap();
         assert_eq!(to_bytes(&decoded), bytes, "decode → encode must be byte-identical");
+    }
+
+    #[test]
+    fn archive_payload_is_the_stage_encoding() {
+        let (_, _, _, run) = small_global_run();
+        let bytes = to_bytes(&run);
+        assert_eq!(bytes[..8], MAGIC);
+        assert_eq!(bytes[8..10], FORMAT_VERSION.to_le_bytes());
+        assert_eq!(bytes[HEADER_LEN..bytes.len() - 8], codec::encode_to_vec(&run));
     }
 
     #[test]
@@ -647,9 +480,21 @@ mod tests {
         let path = dir.join("run.jigsaw");
         let mut bytes = to_bytes(&run);
         bytes[12] ^= 0x01; // inside the header's config-digest field
-        std::fs::write(&path, bytes).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
         let err = resume_from::<GlobalRun>(&path, b.circuit(), &device, &config).unwrap_err();
-        assert!(matches!(err, PersistError::DigestMismatch { .. }), "got {err}");
+        assert!(
+            matches!(err, PersistError::Envelope(EnvelopeError::ChecksumMismatch { .. })),
+            "got {err}"
+        );
+        // A forged digest under a recomputed checksum passes the envelope;
+        // the digest-to-body binding still reports it as corruption.
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = resume_from::<GlobalRun>(&path, b.circuit(), &device, &config).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Envelope(EnvelopeError::DigestMismatch { .. })),
+            "got {err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -663,44 +508,41 @@ mod tests {
     fn header_checks_are_ordered_and_typed() {
         let (_, _, _, run) = small_global_run();
         let bytes = to_bytes(&run);
+        let check = |bytes: &[u8]| match from_bytes::<GlobalRun>(bytes) {
+            Err(PersistError::Envelope(e)) => e,
+            other => panic!("expected an envelope error, got {other:?}"),
+        };
 
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
-        assert!(matches!(from_bytes::<GlobalRun>(&bad), Err(PersistError::BadMagic { .. })));
+        assert!(matches!(check(&bad), EnvelopeError::BadMagic { .. }));
 
         let mut bad = bytes.clone();
         bad[8] = 0xFF; // version
-        assert!(matches!(
-            from_bytes::<GlobalRun>(&bad),
-            Err(PersistError::UnsupportedVersion { found: 0xFF })
-        ));
+        assert!(matches!(check(&bad), EnvelopeError::UnsupportedVersion { found: 0xFF, .. }));
 
         let mut bad = bytes.clone();
         bad[10] = 0x7F; // stage tag
-        assert!(matches!(
-            from_bytes::<GlobalRun>(&bad),
-            Err(PersistError::UnknownStage { tag: 0x7F })
-        ));
+        assert!(matches!(check(&bad), EnvelopeError::UnknownTag { tag: 0x7F }));
 
+        // The checksum spans the header, so a plain digest flip is caught
+        // there; a forger who recomputes the checksum meets the binding
+        // between the header digest and the decoded body.
         let mut bad = bytes.clone();
-        bad[11] ^= 0x01; // header digest no longer matches the body
-        assert!(matches!(from_bytes::<GlobalRun>(&bad), Err(PersistError::DigestMismatch { .. })));
+        bad[11] ^= 0x01;
+        assert!(matches!(check(&bad), EnvelopeError::ChecksumMismatch { .. }));
+        reseal(&mut bad);
+        assert!(matches!(check(&bad), EnvelopeError::DigestMismatch { .. }));
 
         let mut bad = bytes.clone();
         bad.push(0); // trailing garbage
-        assert!(matches!(
-            from_bytes::<GlobalRun>(&bad),
-            Err(PersistError::TrailingBytes { remaining: 1 })
-        ));
+        assert!(matches!(check(&bad), EnvelopeError::TrailingBytes { remaining: 1 }));
 
         // Regression: a length prefix beyond addressable memory used to
         // disguise itself as `Truncated { needed: usize::MAX }`; it is its
         // own typed corruption now.
         let mut bad = bytes.clone();
         bad[19..27].copy_from_slice(&u64::MAX.to_le_bytes()); // payload length
-        assert!(matches!(
-            from_bytes::<GlobalRun>(&bad),
-            Err(PersistError::Oversized { payload_len: u64::MAX })
-        ));
+        assert!(matches!(check(&bad), EnvelopeError::Oversized { payload_len: u64::MAX }));
     }
 }

@@ -339,7 +339,8 @@ pub struct SubsetLayer {
 ///
 /// See the [module docs](self) for the stage graph and guarantees, and
 /// [`crate::persist`] for saving stages to disk and resuming them in
-/// another process ([`Self::save_stage`] / [`Self::resume_from`]).
+/// another process ([`persist::save_stage`](crate::persist::save_stage) /
+/// [`persist::resume_from`](crate::persist::resume_from)).
 ///
 /// # Examples
 ///

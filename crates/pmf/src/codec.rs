@@ -371,9 +371,15 @@ pub fn decode_from_slice<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {
 /// `h ← (h ⊕ b) · P` is a bijection of `h` for fixed `b`.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a64 run from the state `h` another run ended in, so
+/// a checksum over pieces needs no concatenated copy:
+/// `fnv1a64_continue(fnv1a64(a), b) == fnv1a64(a ‖ b)`.
+#[must_use]
+pub fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(PRIME);
@@ -625,6 +631,7 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64_continue(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     #[test]

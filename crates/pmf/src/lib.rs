@@ -21,6 +21,8 @@
 //!   trait pair and little-endian primitives behind the workspace's
 //!   persistable-artifact format (`docs/FORMAT.md`); every crate implements
 //!   the pair for its own types.
+//! * [`envelope`] — the checksummed header/trailer codec, error taxonomy
+//!   and atomic file writer that stage archives and job frames share.
 //!
 //! # Examples
 //!
@@ -42,6 +44,7 @@
 mod bitstring;
 pub mod codec;
 mod counts;
+pub mod envelope;
 pub mod hashing;
 pub mod metrics;
 pub mod parallel;

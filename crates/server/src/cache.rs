@@ -36,9 +36,10 @@ use std::sync::Arc;
 
 use jigsaw_core::lockcheck::{Condvar, Mutex};
 use jigsaw_core::telemetry::{Counter, Registry};
+use jigsaw_pmf::envelope::write_atomic;
 use jigsaw_pmf::hashing::DetHashMap;
 
-use crate::protocol::{ErrorCode, Frame, FrameKind, JobRejection};
+use crate::protocol::{seal, ErrorCode, Frame, FrameKind, JobRejection};
 
 /// Shared response bytes: one allocation serves every duplicate submitter.
 pub type SharedBytes = Arc<Vec<u8>>;
@@ -318,18 +319,13 @@ impl StageCache {
         }
     }
 
-    /// Writes an evicted response as a `JobResult` frame, atomically
-    /// (temp + rename), matching the persist layer's crash discipline.
+    /// Writes an evicted response as a `JobResult` frame with the same
+    /// atomic writer the persist layer saves archives with.
     fn spill(&self, digest: u64, response: &[u8]) {
         let path = self.spill_path(digest);
-        let tmp = path.with_extension("jigsaw.tmp");
-        let frame = Frame { kind: FrameKind::JobResult, digest, payload: response.to_vec() };
-        let written =
-            std::fs::write(&tmp, frame.to_bytes()).and_then(|()| std::fs::rename(&tmp, &path));
-        if written.is_err() {
+        if write_atomic(&path, &seal(FrameKind::JobResult, digest, response)).is_err() {
             // Spill failure is not fatal: the entry is simply gone and a
-            // resubmission recomputes. Leave no torn file behind.
-            let _ = std::fs::remove_file(&tmp);
+            // resubmission recomputes. Leave no older spill behind either.
             let _ = std::fs::remove_file(&path);
         }
     }

@@ -1,9 +1,9 @@
 //! The job-frame wire protocol (`docs/FORMAT.md` §6).
 //!
-//! A connection is a sequence of *frames*, each a self-delimiting byte
-//! string with the same shape as the persist archive frame: an 8-byte
-//! magic, a fixed header, a length-prefixed payload and a trailing FNV-1a64
-//! checksum. The payload of a job frame is encoded with the exact same
+//! A connection is a sequence of *frames*. Each frame is one [`envelope`]
+//! (the self-delimiting header, payload cap, checksum span, check order and
+//! error taxonomy the persist archives use) under the protocol's own magic
+//! and version. The payload of a job frame is encoded with the exact same
 //! [`jigsaw_pmf::codec`] wire types the archives use — a program, device or
 //! config crosses the network as the same bytes it would occupy on disk.
 //!
@@ -13,18 +13,17 @@
 //! 8       2     protocol version (u16 LE, currently 4)
 //! 10      1     frame kind tag (see FrameKind)
 //! 11      8     config digest (u64 LE; 0 where not applicable)
-//! 19      8     payload length N (u64 LE)
+//! 19      8     payload length N (u64 LE, at most 2^28)
 //! 27      N     payload (codec-encoded, kind-specific)
 //! 27+N    8     FNV-1a64 checksum over bytes [8, 27+N)
 //! ```
 //!
 //! The checksum covers *everything after the magic* — version, kind,
 //! digest, length and payload. FNV-1a64's per-byte bijection therefore
-//! guarantees any single-bit flip anywhere past the magic is caught, a
-//! strictly stronger span than the archive checksum (which covers header
-//! and payload separately; see `tests/server_protocol_fuzz.rs` for the
-//! battery that exercises every region). Corrupt input of any shape maps
-//! to a typed [`ProtocolError`], never a panic or a wrong-but-valid frame.
+//! guarantees any single-bit flip anywhere past the magic is caught (see
+//! `tests/server_protocol_fuzz.rs` for the battery that exercises every
+//! region). Corrupt input of any shape maps to a typed [`ProtocolError`],
+//! never a panic or a wrong-but-valid frame.
 //!
 //! The digest field binds a [`SubmitJob`](FrameKind::SubmitJob) frame to
 //! its payload: the server re-derives [`config_digest`] from the decoded
@@ -41,9 +40,10 @@ use jigsaw_core::persist::config_digest;
 use jigsaw_core::sched::Priority;
 use jigsaw_core::{JigsawConfig, StageKind};
 use jigsaw_device::Device;
-use jigsaw_pmf::codec::{
-    decode_from_slice, encode_to_vec, fnv1a64, CodecError, Decode, Encode, Reader, Writer,
-};
+use jigsaw_pmf::codec::{encode_to_vec, CodecError, Decode, Encode, Reader, Writer};
+use jigsaw_pmf::envelope::{self, Envelope, TRAILER_LEN};
+
+pub use jigsaw_pmf::envelope::{EnvelopeError as ProtocolError, HEADER_LEN, MAX_PAYLOAD_LEN};
 
 /// First eight bytes of every frame. Differs from the archive magic in one
 /// byte (`J` for *jobs* where archives carry `W` for *writes*), so a frame
@@ -67,12 +67,8 @@ pub const MAGIC: [u8; 8] = *b"\x89JSJ\r\n\x1a\x0a";
 /// version 2); a v3 peer is refused the same typed way.
 pub const PROTOCOL_VERSION: u16 = 4;
 
-/// Fixed-size frame prefix: magic + version + kind + digest + length.
-pub const HEADER_LEN: usize = 8 + 2 + 1 + 8 + 8;
-
-/// Upper bound a peer may claim for one payload (256 MiB). A length
-/// prefix beyond this is rejected before any allocation happens.
-pub const MAX_PAYLOAD_LEN: u64 = 1 << 28;
+/// The frame's envelope format.
+const FRAME: Envelope = Envelope { magic: MAGIC, version: PROTOCOL_VERSION };
 
 /// What a frame carries. Tag values are part of the wire format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,117 +135,6 @@ impl FrameKind {
     }
 }
 
-/// Everything that can go wrong framing or unframing. Every variant is a
-/// *typed* error: hostile bytes must land here, never panic the server.
-#[derive(Debug)]
-pub enum ProtocolError {
-    /// Transport failure.
-    Io(io::Error),
-    /// The input ended inside a frame.
-    Truncated {
-        /// Bytes the frame needs.
-        needed: usize,
-        /// Bytes actually present.
-        len: usize,
-    },
-    /// The first eight bytes are not [`MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 8],
-    },
-    /// The peer speaks an unknown protocol version.
-    UnsupportedVersion {
-        /// Version found in the header.
-        found: u16,
-    },
-    /// The kind tag has no [`FrameKind`].
-    UnknownKind {
-        /// The unrecognised tag.
-        tag: u8,
-    },
-    /// The header claims a payload beyond [`MAX_PAYLOAD_LEN`].
-    Oversized {
-        /// The claimed length.
-        payload_len: u64,
-    },
-    /// The trailing checksum does not match the frame bytes.
-    ChecksumMismatch {
-        /// Checksum recomputed from the bytes.
-        expected: u64,
-        /// Checksum found on the wire.
-        found: u64,
-    },
-    /// Input remained after the frame ended (buffer parsing only).
-    TrailingBytes {
-        /// Bytes left unread.
-        remaining: usize,
-    },
-    /// The payload failed to decode as the kind's type.
-    Codec(CodecError),
-    /// A submit frame's digest field disagrees with the digest re-derived
-    /// from its decoded payload.
-    DigestMismatch {
-        /// Digest the frame header claims.
-        claimed: u64,
-        /// Digest computed from the payload.
-        computed: u64,
-    },
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "transport failure: {e}"),
-            Self::Truncated { needed, len } => {
-                write!(f, "frame truncated: needs {needed} bytes, {len} present")
-            }
-            Self::BadMagic { found } => write!(f, "not a job frame (magic {found:02x?})"),
-            Self::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "unsupported protocol version {found} (this build speaks {PROTOCOL_VERSION})"
-                )
-            }
-            Self::UnknownKind { tag } => write!(f, "unknown frame kind tag {tag:#04x}"),
-            Self::Oversized { payload_len } => {
-                write!(f, "header claims a {payload_len}-byte payload, over the {MAX_PAYLOAD_LEN}-byte cap")
-            }
-            Self::ChecksumMismatch { expected, found } => {
-                write!(f, "frame checksum mismatch: computed {expected:#018x}, found {found:#018x}")
-            }
-            Self::TrailingBytes { remaining } => {
-                write!(f, "{remaining} trailing bytes after the frame")
-            }
-            Self::Codec(e) => write!(f, "payload decode failed: {e}"),
-            Self::DigestMismatch { claimed, computed } => {
-                write!(f, "digest binding violated: frame claims {claimed:#018x}, payload digests to {computed:#018x}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            Self::Codec(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for ProtocolError {
-    fn from(e: io::Error) -> Self {
-        Self::Io(e)
-    }
-}
-
-impl From<CodecError> for ProtocolError {
-    fn from(e: CodecError) -> Self {
-        Self::Codec(e)
-    }
-}
-
 /// One wire frame: a kind, the digest it concerns, and an opaque payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -293,16 +178,7 @@ impl Frame {
     /// everything after the magic.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + 8);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        out.push(self.kind.code());
-        out.extend_from_slice(&self.digest.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let checksum = fnv1a64(out.get(8..).unwrap_or_default());
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        seal(self.kind, self.digest, &self.payload)
     }
 
     /// Parses one frame from a buffer, requiring exact consumption.
@@ -311,34 +187,10 @@ impl Frame {
     ///
     /// Every malformation maps to its [`ProtocolError`] variant; the
     /// checks run in frame order (length, magic, version, kind, payload
-    /// cap, checksum).
+    /// cap, total length, trailing bytes, checksum).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ProtocolError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ProtocolError::Truncated { needed: HEADER_LEN, len: bytes.len() });
-        }
-        let header = parse_header(bytes)?;
-        let Some(total) = header.frame_len() else {
-            return Err(ProtocolError::Oversized { payload_len: header.payload_len });
-        };
-        if bytes.len() < total {
-            return Err(ProtocolError::Truncated { needed: total, len: bytes.len() });
-        }
-        if bytes.len() > total {
-            return Err(ProtocolError::TrailingBytes { remaining: bytes.len() - total });
-        }
-        let payload_end = total - 8;
-        let found = u64::from_le_bytes(field(bytes, payload_end)?);
-        let hashed = bytes
-            .get(8..payload_end)
-            .ok_or(ProtocolError::Truncated { needed: total, len: bytes.len() })?;
-        let expected = fnv1a64(hashed);
-        if found != expected {
-            return Err(ProtocolError::ChecksumMismatch { expected, found });
-        }
-        let payload = bytes
-            .get(HEADER_LEN..payload_end)
-            .ok_or(ProtocolError::Truncated { needed: total, len: bytes.len() })?;
-        Ok(Self { kind: header.kind, digest: header.digest, payload: payload.to_vec() })
+        let (header, payload) = FRAME.open(bytes, FrameKind::from_code)?;
+        Ok(Self { kind: header.tag, digest: header.digest, payload: payload.to_vec() })
     }
 
     /// Writes the frame to a stream.
@@ -347,9 +199,7 @@ impl Frame {
     ///
     /// Propagates transport failures as [`ProtocolError::Io`].
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), ProtocolError> {
-        w.write_all(&self.to_bytes())?;
-        w.flush()?;
-        Ok(())
+        write_frame(w, self.kind, self.digest, &self.payload)
     }
 
     /// Reads one frame from a stream. Returns `Ok(None)` on a clean EOF
@@ -376,86 +226,47 @@ impl Frame {
         r: &mut impl Read,
         stop: &dyn Fn() -> bool,
     ) -> Result<Option<Self>, ProtocolError> {
-        let mut header_bytes = [0u8; HEADER_LEN];
-        if read_full(r, &mut header_bytes, true, stop)?.is_none() {
+        let mut head = [0u8; HEADER_LEN];
+        if read_full(r, &mut head, true, stop)?.is_none() {
             return Ok(None);
         }
-        let header = parse_header(&header_bytes)?;
-        let Some(total) = header.frame_len() else {
-            return Err(ProtocolError::Oversized { payload_len: header.payload_len });
-        };
-        let mut rest = vec![0u8; total - HEADER_LEN];
+        let header = FRAME.parse_header(&head, FrameKind::from_code)?;
+        let torn = || ProtocolError::Truncated { needed: header.total_len(), len: HEADER_LEN };
+        let mut rest = vec![0u8; header.payload_len + TRAILER_LEN];
         if read_full(r, &mut rest, false, stop)?.is_none() {
             // `read_full` yields `None` only when EOF at offset 0 is
             // allowed, which it is not here; report it as a torn frame
             // rather than asserting.
-            return Err(ProtocolError::Truncated { needed: total, len: HEADER_LEN });
+            return Err(torn());
         }
-        let payload_len = rest.len().saturating_sub(8);
-        let found = u64::from_le_bytes(field(&rest, payload_len)?);
-        let body = rest
-            .get(..payload_len)
-            .ok_or(ProtocolError::Truncated { needed: total, len: HEADER_LEN })?;
-        let mut hashed = Vec::with_capacity(HEADER_LEN - 8 + payload_len);
-        hashed.extend_from_slice(header_bytes.get(8..).unwrap_or_default());
-        hashed.extend_from_slice(body);
-        let expected = fnv1a64(&hashed);
-        if found != expected {
-            return Err(ProtocolError::ChecksumMismatch { expected, found });
-        }
-        rest.truncate(payload_len);
-        Ok(Some(Self { kind: header.kind, digest: header.digest, payload: rest }))
+        let (payload, trailer) = rest.split_last_chunk().ok_or_else(torn)?;
+        envelope::verify_checksum(&head, payload, trailer)?;
+        rest.truncate(header.payload_len);
+        Ok(Some(Self { kind: header.tag, digest: header.digest, payload: rest }))
     }
 }
 
-/// Parsed fixed-size prefix of a frame.
-struct FrameHeader {
+/// Serialises one frame around a borrowed payload (see [`Frame::to_bytes`]).
+#[must_use]
+pub fn seal(kind: FrameKind, digest: u64, payload: &[u8]) -> Vec<u8> {
+    FRAME.seal(kind.code(), digest, payload)
+}
+
+/// Writes one frame around a borrowed payload to a stream in a single
+/// write (see [`Frame::write_to`]).
+///
+/// # Errors
+///
+/// Propagates transport failures as [`ProtocolError::Io`].
+pub fn write_frame(
+    w: &mut impl Write,
     kind: FrameKind,
     digest: u64,
-    payload_len: u64,
-}
-
-impl FrameHeader {
-    /// Total frame length (header + payload + checksum), or `None` when
-    /// the claimed payload is over the cap or unaddressable.
-    fn frame_len(&self) -> Option<usize> {
-        if self.payload_len > MAX_PAYLOAD_LEN {
-            return None;
-        }
-        let payload = usize::try_from(self.payload_len).ok()?;
-        HEADER_LEN.checked_add(payload)?.checked_add(8)
-    }
-}
-
-/// Validates magic, version and kind of a header block (the caller
-/// guarantees at least `HEADER_LEN` bytes; shorter input reports
-/// truncation, never panics).
-fn parse_header(bytes: &[u8]) -> Result<FrameHeader, ProtocolError> {
-    let magic: [u8; 8] = field(bytes, 0)?;
-    if magic != MAGIC {
-        return Err(ProtocolError::BadMagic { found: magic });
-    }
-    let version = u16::from_le_bytes(field(bytes, 8)?);
-    if version != PROTOCOL_VERSION {
-        return Err(ProtocolError::UnsupportedVersion { found: version });
-    }
-    let tag = bytes
-        .get(10)
-        .copied()
-        .ok_or(ProtocolError::Truncated { needed: HEADER_LEN, len: bytes.len() })?;
-    let kind = FrameKind::from_code(tag).ok_or(ProtocolError::UnknownKind { tag })?;
-    let digest = u64::from_le_bytes(field(bytes, 11)?);
-    let payload_len = u64::from_le_bytes(field(bytes, 19)?);
-    Ok(FrameHeader { kind, digest, payload_len })
-}
-
-/// Reads the `N`-byte field at offset `at`, reporting truncation as a
-/// typed error — this parse path never indexes raw wire bytes.
-fn field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], ProtocolError> {
-    bytes
-        .get(at..at.saturating_add(N))
-        .and_then(|s| <[u8; N]>::try_from(s).ok())
-        .ok_or(ProtocolError::Truncated { needed: at.saturating_add(N), len: bytes.len() })
+    payload: &[u8],
+) -> Result<(), ProtocolError> {
+    w.write_all(&seal(kind, digest, payload))?;
+    w.flush()?;
+    Ok(())
 }
 
 /// Fills `buf` from `r`, retrying on `WouldBlock`/`TimedOut`/`Interrupted`.
@@ -665,12 +476,7 @@ impl Decode for JobRejection {
 /// [`JobRequest`], [`ProtocolError::DigestMismatch`] when the frame's
 /// digest field disagrees with the decoded request.
 pub fn decode_submit(frame: &Frame) -> Result<JobRequest, ProtocolError> {
-    let request: JobRequest = decode_from_slice(&frame.payload)?;
-    let computed = request.digest();
-    if frame.digest != computed {
-        return Err(ProtocolError::DigestMismatch { claimed: frame.digest, computed });
-    }
-    Ok(request)
+    envelope::decode_bound(frame.digest, &frame.payload, JobRequest::digest)
 }
 
 /// Decodes a [`FrameKind::SubmitShard`] payload and enforces the digest
@@ -682,19 +488,18 @@ pub fn decode_submit(frame: &Frame) -> Result<JobRequest, ProtocolError> {
 /// [`ProtocolError::Codec`] for a payload that fails structural
 /// validation and [`ProtocolError::DigestMismatch`] for a digest lie.
 pub fn decode_shard(frame: &Frame) -> Result<ShardRequest, ProtocolError> {
-    let request: ShardRequest = decode_from_slice(&frame.payload)?;
-    let computed = request.digest();
-    if frame.digest != computed {
-        return Err(ProtocolError::DigestMismatch { claimed: frame.digest, computed });
-    }
-    Ok(request)
+    envelope::decode_bound(frame.digest, &frame.payload, ShardRequest::digest)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use jigsaw_circuit::bench;
+    use jigsaw_core::persist::{self, PersistError};
+    use jigsaw_core::pipeline::SubsetsSelected;
     use jigsaw_device::Device;
+    use jigsaw_pmf::codec::decode_from_slice;
+    use jigsaw_pmf::envelope::EnvelopeError;
 
     fn sample_request() -> JobRequest {
         JobRequest::new(
@@ -748,12 +553,12 @@ mod tests {
         bad[8..10].copy_from_slice(&9u16.to_le_bytes());
         assert!(matches!(
             Frame::from_bytes(&bad),
-            Err(ProtocolError::UnsupportedVersion { found: 9 })
+            Err(ProtocolError::UnsupportedVersion { found: 9, .. })
         ));
 
         let mut bad = good.clone();
         bad[10] = 0xEE;
-        assert!(matches!(Frame::from_bytes(&bad), Err(ProtocolError::UnknownKind { tag: 0xEE })));
+        assert!(matches!(Frame::from_bytes(&bad), Err(ProtocolError::UnknownTag { tag: 0xEE })));
 
         let mut bad = good.clone();
         bad[19..27].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -782,6 +587,20 @@ mod tests {
             let mut bad = bytes.clone();
             bad[offset] ^= 0x01;
             assert!(Frame::from_bytes(&bad).is_err(), "flip at offset {offset} must not parse");
+        }
+        // Archives share the envelope, so the same holds for them: every
+        // flip is refused by an envelope check, before any stage decode.
+        let archive = persist::to_bytes(&sample_shard_request().stage);
+        for offset in 8..archive.len() {
+            let mut bad = archive.clone();
+            bad[offset] ^= 0x01;
+            let err = persist::from_bytes::<SubsetsSelected>(&bad).expect_err("flip must not load");
+            let before_decode = matches!(
+                err,
+                PersistError::Envelope(ref e)
+                    if !matches!(e, EnvelopeError::Codec(_) | EnvelopeError::DigestMismatch { .. })
+            );
+            assert!(before_decode, "archive flip at offset {offset} gave {err:?}");
         }
     }
 

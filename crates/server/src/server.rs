@@ -52,8 +52,8 @@ use jigsaw_pmf::ShardPartial;
 
 use crate::cache::StageCache;
 use crate::protocol::{
-    decode_shard, decode_submit, ErrorCode, Frame, FrameKind, JobRejection, JobRequest,
-    ProtocolError,
+    decode_shard, decode_submit, write_frame, ErrorCode, Frame, FrameKind, JobRejection,
+    JobRequest, ProtocolError,
 };
 
 /// How often an idle handler re-checks the shutdown flag.
@@ -305,8 +305,26 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
 fn refuse_connection(stream: &mut TcpStream) {
     let rejection =
         JobRejection::new(ErrorCode::Overloaded, "server connection queue is full; retry later");
-    let frame = Frame { kind: FrameKind::JobError, digest: 0, payload: encode_to_vec(&rejection) };
-    let _ = frame.write_to(stream);
+    reply_rejection(stream, FrameKind::JobError, 0, &rejection);
+}
+
+/// Writes a typed refusal frame. Returns whether the write succeeded.
+fn reply_rejection(
+    stream: &mut TcpStream,
+    kind: FrameKind,
+    digest: u64,
+    rejection: &JobRejection,
+) -> bool {
+    write_frame(stream, kind, digest, &encode_to_vec(rejection)).is_ok()
+}
+
+/// The refusal a request frame that fails to decode or bind earns.
+fn decode_refusal(error: &ProtocolError) -> JobRejection {
+    let code = match error {
+        ProtocolError::DigestMismatch { .. } => ErrorCode::DigestMismatch,
+        _ => ErrorCode::Malformed,
+    };
+    JobRejection::new(code, error.to_string())
 }
 
 /// One connection's frame loop.
@@ -329,12 +347,7 @@ fn handle_connection(
                 // Malformed framing leaves the stream position unknown:
                 // report and close rather than resynchronise.
                 let rejection = JobRejection::new(ErrorCode::Malformed, error.to_string());
-                let reply = Frame {
-                    kind: FrameKind::JobError,
-                    digest: 0,
-                    payload: encode_to_vec(&rejection),
-                };
-                let _ = reply.write_to(&mut stream);
+                reply_rejection(&mut stream, FrameKind::JobError, 0, &rejection);
                 break;
             }
         };
@@ -344,9 +357,7 @@ fn handle_connection(
             FrameKind::MetricsRequest => {
                 let mut text = metrics.registry.render_text();
                 text.push_str(&telemetry::global().render_text());
-                Frame { kind: FrameKind::MetricsText, digest: 0, payload: text.into_bytes() }
-                    .write_to(&mut stream)
-                    .is_ok()
+                write_frame(&mut stream, FrameKind::MetricsText, 0, text.as_bytes()).is_ok()
             }
             FrameKind::Shutdown => {
                 let _ = Frame::empty(FrameKind::ShutdownAck).write_to(&mut stream);
@@ -366,9 +377,7 @@ fn handle_connection(
                     ErrorCode::Malformed,
                     format!("unexpected client frame kind {:?}", frame.kind),
                 );
-                Frame { kind: FrameKind::JobError, digest: 0, payload: encode_to_vec(&rejection) }
-                    .write_to(&mut stream)
-                    .is_ok()
+                reply_rejection(&mut stream, FrameKind::JobError, 0, &rejection)
             }
         };
         if !keep_going {
@@ -386,33 +395,19 @@ fn handle_submit(
     scheduler: &Scheduler,
     metrics: &ServerMetrics,
 ) -> bool {
+    let digest = frame.digest;
     let request = match decode_submit(frame) {
         Ok(request) => request,
         Err(error) => {
-            let code = match error {
-                ProtocolError::DigestMismatch { .. } => ErrorCode::DigestMismatch,
-                _ => ErrorCode::Malformed,
-            };
-            let rejection = JobRejection::new(code, error.to_string());
-            return Frame {
-                kind: FrameKind::JobError,
-                digest: frame.digest,
-                payload: encode_to_vec(&rejection),
-            }
-            .write_to(stream)
-            .is_ok();
+            return reply_rejection(stream, FrameKind::JobError, digest, &decode_refusal(&error))
         }
     };
     metrics.jobs.inc();
-    let digest = frame.digest;
     let (result, _outcome) = cache.get_or_compute(digest, || compute_job(scheduler, &request));
-    let reply = match result {
-        Ok(response) => Frame { kind: FrameKind::JobResult, digest, payload: (*response).clone() },
-        Err(rejection) => {
-            Frame { kind: FrameKind::JobError, digest, payload: encode_to_vec(&rejection) }
-        }
-    };
-    reply.write_to(stream).is_ok()
+    match result {
+        Ok(response) => write_frame(stream, FrameKind::JobResult, digest, &response).is_ok(),
+        Err(rejection) => reply_rejection(stream, FrameKind::JobError, digest, &rejection),
+    }
 }
 
 /// Resolves one shard submission through the scheduler's priority lanes
@@ -423,36 +418,24 @@ fn handle_submit(
 /// re-asks for a shard it already holds, and a shard retried after a worker
 /// dies lands on a *different* worker, whose cache could not hold it.
 fn handle_shard(stream: &mut TcpStream, frame: &Frame, scheduler: &Scheduler) -> bool {
+    let digest = frame.digest;
     let request = match decode_shard(frame) {
         Ok(request) => request,
         Err(error) => {
             telemetry::dist_shards("error").inc();
-            let code = match error {
-                ProtocolError::DigestMismatch { .. } => ErrorCode::DigestMismatch,
-                _ => ErrorCode::Malformed,
-            };
-            let rejection = JobRejection::new(code, error.to_string());
-            return Frame {
-                kind: FrameKind::ShardError,
-                digest: frame.digest,
-                payload: encode_to_vec(&rejection),
-            }
-            .write_to(stream)
-            .is_ok();
+            return reply_rejection(stream, FrameKind::ShardError, digest, &decode_refusal(&error));
         }
     };
-    let digest = frame.digest;
-    let reply = match compute_shard(scheduler, request) {
+    match compute_shard(scheduler, request) {
         Ok(partial) => {
             telemetry::dist_shards("ok").inc();
-            Frame { kind: FrameKind::ShardResult, digest, payload: encode_to_vec(&partial) }
+            write_frame(stream, FrameKind::ShardResult, digest, &encode_to_vec(&partial)).is_ok()
         }
         Err(rejection) => {
             telemetry::dist_shards("error").inc();
-            Frame { kind: FrameKind::ShardError, digest, payload: encode_to_vec(&rejection) }
+            reply_rejection(stream, FrameKind::ShardError, digest, &rejection)
         }
-    };
-    reply.write_to(stream).is_ok()
+    }
 }
 
 /// Submits one decoded shard to the stage scheduler in its priority lane

@@ -13,6 +13,7 @@ use jigsaw_repro::core::persist::{self, PersistError};
 use jigsaw_repro::core::pipeline::{GlobalCompiled, GlobalRun, Planned, SubsetsSelected};
 use jigsaw_repro::core::{run_jigsaw, JigsawConfig, JigsawPipeline};
 use jigsaw_repro::device::Device;
+use jigsaw_repro::pmf::envelope::EnvelopeError;
 use jigsaw_repro::sim::BackendChoice;
 use proptest::prelude::*;
 
@@ -185,20 +186,23 @@ fn header_failures_are_precise() {
 
     let mut bad = bytes.clone();
     bad[3] ^= 0xFF;
-    assert!(matches!(persist::from_bytes::<GlobalRun>(&bad), Err(PersistError::BadMagic { .. })));
+    assert!(matches!(
+        persist::from_bytes::<GlobalRun>(&bad),
+        Err(PersistError::Envelope(EnvelopeError::BadMagic { .. }))
+    ));
 
     let mut bad = bytes.clone();
     bad[9] = 0x7E;
     assert!(matches!(
         persist::from_bytes::<GlobalRun>(&bad),
-        Err(PersistError::UnsupportedVersion { .. })
+        Err(PersistError::Envelope(EnvelopeError::UnsupportedVersion { .. }))
     ));
 
     let mut bad = bytes.clone();
     bad[10] = 0;
     assert!(matches!(
         persist::from_bytes::<GlobalRun>(&bad),
-        Err(PersistError::UnknownStage { tag: 0 })
+        Err(PersistError::Envelope(EnvelopeError::UnknownTag { tag: 0 }))
     ));
 
     assert!(matches!(persist::from_bytes::<Planned>(&bytes), Err(PersistError::WrongStage { .. })));
@@ -209,7 +213,7 @@ fn header_failures_are_precise() {
     bad[mid] ^= 0x10;
     assert!(matches!(
         persist::from_bytes::<GlobalRun>(&bad),
-        Err(PersistError::ChecksumMismatch { .. })
+        Err(PersistError::Envelope(EnvelopeError::ChecksumMismatch { .. }))
     ));
 }
 
@@ -225,22 +229,21 @@ fn resume_from_is_config_gated() {
     let dir = std::env::temp_dir().join("jigsaw-persist-roundtrip");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("ghz5.jigsaw");
-    JigsawPipeline::save_stage(&run, &path).unwrap();
+    persist::save_stage(&run, &path).unwrap();
 
-    let resumed: GlobalRun =
-        JigsawPipeline::resume_from(&path, b.circuit(), &device, &cfg).unwrap();
+    let resumed: GlobalRun = persist::resume_from(&path, b.circuit(), &device, &cfg).unwrap();
     assert!(resumed == run);
 
     // A different seed, budget, or even device must be refused.
     for other in [cfg.clone().with_seed(10), JigsawConfig { total_trials: 800, ..cfg.clone() }] {
         assert!(matches!(
-            JigsawPipeline::resume_from::<GlobalRun>(&path, b.circuit(), &device, &other),
+            persist::resume_from::<GlobalRun>(&path, b.circuit(), &device, &other),
             Err(PersistError::ConfigMismatch { .. })
         ));
     }
     let paris = Device::paris();
     assert!(matches!(
-        JigsawPipeline::resume_from::<GlobalRun>(&path, b.circuit(), &paris, &cfg),
+        persist::resume_from::<GlobalRun>(&path, b.circuit(), &paris, &cfg),
         Err(PersistError::ConfigMismatch { .. })
     ));
     std::fs::remove_dir_all(&dir).ok();

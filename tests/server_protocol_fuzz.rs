@@ -18,7 +18,8 @@
 
 use jigsaw_repro::circuit::bench;
 use jigsaw_repro::core::dist::{Shard, ShardRequest};
-use jigsaw_repro::core::pipeline::JigsawPipeline;
+use jigsaw_repro::core::persist::{self, PersistError};
+use jigsaw_repro::core::pipeline::{JigsawPipeline, SubsetsSelected};
 use jigsaw_repro::core::sched::Priority;
 use jigsaw_repro::core::{run_jigsaw, JigsawConfig};
 use jigsaw_repro::device::Device;
@@ -26,7 +27,7 @@ use jigsaw_repro::pmf::codec::{decode_from_slice, encode_to_vec, fnv1a64, CodecE
 use jigsaw_repro::pmf::ShardPartial;
 use jigsaw_repro::server::client::Client;
 use jigsaw_repro::server::protocol::{
-    decode_shard, decode_submit, Frame, FrameKind, JobRequest, ProtocolError, HEADER_LEN,
+    decode_shard, decode_submit, Frame, FrameKind, JobRequest, ProtocolError, HEADER_LEN, MAGIC,
     PROTOCOL_VERSION,
 };
 use jigsaw_repro::server::server::{serve, ServerConfig};
@@ -111,11 +112,14 @@ fn corruption_maps_to_the_right_variant_per_region() {
 
     let mut bad = good.clone();
     bad[8..10].copy_from_slice(&7u16.to_le_bytes()); // version
-    assert!(matches!(Frame::from_bytes(&bad), Err(ProtocolError::UnsupportedVersion { found: 7 })));
+    assert!(matches!(
+        Frame::from_bytes(&bad),
+        Err(ProtocolError::UnsupportedVersion { found: 7, .. })
+    ));
 
     let mut bad = good.clone();
     bad[10] = 0x99; // kind tag
-    assert!(matches!(Frame::from_bytes(&bad), Err(ProtocolError::UnknownKind { tag: 0x99 })));
+    assert!(matches!(Frame::from_bytes(&bad), Err(ProtocolError::UnknownTag { tag: 0x99 })));
 
     let mut bad = good.clone();
     bad[19..27].copy_from_slice(&(u64::MAX / 2).to_le_bytes()); // length
@@ -258,11 +262,14 @@ fn shard_corruption_maps_to_the_right_variant_per_region() {
 
     let mut bad = good.clone();
     bad[8..10].copy_from_slice(&7u16.to_le_bytes()); // version
-    assert!(matches!(Frame::from_bytes(&bad), Err(ProtocolError::UnsupportedVersion { found: 7 })));
+    assert!(matches!(
+        Frame::from_bytes(&bad),
+        Err(ProtocolError::UnsupportedVersion { found: 7, .. })
+    ));
 
     let mut bad = good.clone();
     bad[10] = 0x99; // kind tag
-    assert!(matches!(Frame::from_bytes(&bad), Err(ProtocolError::UnknownKind { tag: 0x99 })));
+    assert!(matches!(Frame::from_bytes(&bad), Err(ProtocolError::UnknownTag { tag: 0x99 })));
 
     let mut bad = good.clone();
     bad[19..27].copy_from_slice(&(u64::MAX / 2).to_le_bytes()); // length
@@ -279,6 +286,24 @@ fn shard_corruption_maps_to_the_right_variant_per_region() {
     frame.digest ^= 0xDEAD_BEEF;
     let reparsed = Frame::from_bytes(&frame.to_bytes()).expect("frame shape is valid");
     assert!(matches!(decode_shard(&reparsed), Err(ProtocolError::DigestMismatch { .. })));
+}
+
+/// Archives and frames share one envelope but not one magic: each
+/// format's reader refuses the other's bytes at byte 0 with the typed
+/// bad-magic error (`docs/FORMAT.md` §6).
+#[test]
+fn archives_and_frames_refuse_each_other_at_the_magic() {
+    let request = sample_shard_request();
+    let archive = persist::to_bytes(&request.stage);
+    match Frame::from_bytes(&archive) {
+        Err(ProtocolError::BadMagic { found }) => assert_eq!(found, persist::MAGIC),
+        other => panic!("an archive parsed as a frame: {other:?}"),
+    }
+    let frame = Frame::submit_shard(&request).to_bytes();
+    match persist::from_bytes::<SubsetsSelected>(&frame).map(|_| ()) {
+        Err(PersistError::Envelope(ProtocolError::BadMagic { found })) => assert_eq!(found, MAGIC),
+        other => panic!("a frame loaded as an archive: {other:?}"),
+    }
 }
 
 /// Version refusal is symmetric and typed: a frame of the previous
@@ -302,7 +327,7 @@ fn previous_protocol_version_is_refused_cleanly() {
 
     // Offline: the parser names the versions.
     match Frame::from_bytes(&stale) {
-        Err(ProtocolError::UnsupportedVersion { found }) if found == previous => {}
+        Err(ProtocolError::UnsupportedVersion { found, .. }) if found == previous => {}
         other => panic!("expected UnsupportedVersion {{ found: {previous} }}, got {other:?}"),
     }
 
