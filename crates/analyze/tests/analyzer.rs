@@ -325,11 +325,17 @@ fn real_spec_mutations_yield_exactly_one_finding_each() {
     let baseline = run_files(&cfg, &files, Some(&spec));
     assert!(baseline.violations.is_empty(), "{:#?}", baseline.violations);
 
-    // Spec-side: bump the protocol version only in the document.
-    let mutated = spec.replace(
-        "protocol version, `u16` — currently `4`",
-        "protocol version, `u16` — currently `5`",
-    );
+    // Spec-side: bump the protocol version only in the document. The
+    // anchor is read from the source, so it follows every real bump.
+    let protocol = std::fs::read_to_string(Path::new(root).join("crates/server/src/protocol.rs"))
+        .expect("protocol source");
+    let version: u16 = protocol
+        .lines()
+        .find_map(|l| l.strip_prefix("pub const PROTOCOL_VERSION: u16 = ")?.strip_suffix(';'))
+        .and_then(|v| v.parse().ok())
+        .expect("PROTOCOL_VERSION declared");
+    let row = "protocol version, `u16` — currently";
+    let mutated = spec.replace(&format!("{row} `{version}`"), &format!("{row} `{}`", version + 1));
     assert_ne!(mutated, spec, "mutation anchor lost — update this test with FORMAT.md");
     let report = run_files(&cfg, &files, Some(&mutated));
     let hits: Vec<&Violation> =

@@ -280,20 +280,6 @@ impl Circuit {
         }
         out
     }
-
-    /// Concatenates another circuit's gates (must have the same width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn extend_gates(&mut self, other: &Circuit) -> &mut Self {
-        assert_eq!(
-            self.n_qubits, other.n_qubits,
-            "cannot concatenate circuits of different widths"
-        );
-        self.gates.extend_from_slice(&other.gates);
-        self
-    }
 }
 
 /// Wire format: `qubit` then `clbit`, both as `u64`.

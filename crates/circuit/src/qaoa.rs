@@ -2,8 +2,6 @@
 //! schedules, and the Approximation-Ratio-Gap metric of paper §5.5(4).
 
 use jigsaw_pmf::{BitString, Pmf};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::Circuit;
 
@@ -67,21 +65,6 @@ impl Graph {
         assert!(n >= 3, "ring graph needs at least 3 vertices");
         let mut edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         edges.push((n - 1, 0));
-        Self::new(n, edges)
-    }
-
-    /// Erdős–Rényi `G(n, p)` graph drawn deterministically from `seed`.
-    #[must_use]
-    pub fn random_gnp(n: usize, p: f64, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut edges = Vec::new();
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.gen::<f64>() < p {
-                    edges.push((u, v));
-                }
-            }
-        }
         Self::new(n, edges)
     }
 
@@ -325,13 +308,6 @@ mod tests {
         // p=2 doubles the interaction count.
         let c2 = qaoa_circuit(&g, &QaoaAngles::linear_ramp(2));
         assert_eq!(c2.two_qubit_gates(), 2 * 2 * 7);
-    }
-
-    #[test]
-    fn random_gnp_is_seed_deterministic() {
-        let a = Graph::random_gnp(10, 0.4, 7);
-        let b = Graph::random_gnp(10, 0.4, 7);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -42,19 +42,6 @@ impl Default for CompilerOptions {
     }
 }
 
-impl CompilerOptions {
-    /// Options emphasising readout quality of the measured qubits — used by
-    /// CPM recompilation (§4.2.2), where the local-PMF fidelity is what
-    /// matters.
-    #[must_use]
-    pub fn readout_focused() -> Self {
-        Self {
-            placement: PlacementConfig { readout_weight: 4.0, ..PlacementConfig::default() },
-            ..Self::default()
-        }
-    }
-}
-
 /// A compiled program: the routed physical circuit plus its score.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Compiled {

@@ -115,49 +115,6 @@ impl CpmArtifact {
     }
 }
 
-/// Wire format: measured subset, physical circuit, optional EPS. Decode
-/// validates that the subset is non-empty, strictly ascending would be
-/// wrong here (subset order defines the classical-bit mapping), so only
-/// duplicates and the measurement count are checked against the circuit.
-impl jigsaw_pmf::codec::Encode for CpmArtifact {
-    fn encode(&self, w: &mut jigsaw_pmf::codec::Writer) {
-        self.subset.encode(w);
-        self.circuit.encode(w);
-        self.eps.encode(w);
-    }
-}
-
-impl jigsaw_pmf::codec::Decode for CpmArtifact {
-    fn decode(
-        r: &mut jigsaw_pmf::codec::Reader<'_>,
-    ) -> Result<Self, jigsaw_pmf::codec::CodecError> {
-        use jigsaw_pmf::codec::CodecError;
-        let subset = Vec::<usize>::decode(r)?;
-        let circuit = Circuit::decode(r)?;
-        let eps = Option::<f64>::decode(r)?;
-        let mut sorted = subset.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if subset.is_empty() || sorted.len() != subset.len() {
-            return Err(CodecError::InvalidValue {
-                what: "CpmArtifact",
-                detail: "subset must be non-empty and duplicate-free".into(),
-            });
-        }
-        if circuit.measurements().len() != subset.len() {
-            return Err(CodecError::InvalidValue {
-                what: "CpmArtifact",
-                detail: format!(
-                    "circuit measures {} qubits but the subset lists {}",
-                    circuit.measurements().len(),
-                    subset.len()
-                ),
-            });
-        }
-        Ok(Self { subset, circuit, eps })
-    }
-}
-
 /// Derives a CPM from an already-compiled global circuit *without*
 /// recompiling: same gates and mapping, measurements restricted to `subset`
 /// (logical indices), read from the final layout.

@@ -60,9 +60,10 @@ pub struct DistConfig {
     /// Total executions allowed per shard before the sweep fails with
     /// [`DistError::ShardFailed`] (≥ 1).
     pub max_attempts: usize,
-    /// Upper bound on the driver's wait for outstanding results; on
+    /// Upper bound on the driver's wait for the next shard to finish. On
     /// expiry the sweep fails with [`DistError::Timeout`] instead of
-    /// hanging on a silent worker.
+    /// hanging on a silent worker; a sweep that keeps finishing shards
+    /// never expires, however long it runs.
     pub watchdog: Duration,
     /// Priority lane shard requests ride on remote workers' schedulers.
     pub priority: Priority,
@@ -174,8 +175,9 @@ pub fn plan_shards(items: usize, shard_size: usize) -> Vec<Shard> {
 }
 
 /// A shard execution request as shipped to a worker: the full
-/// [`SubsetsSelected`] stage (workers receive artifacts, never
-/// recompile), the range to run, and the scheduler lane to run it on.
+/// [`SubsetsSelected`] stage (global artifact and config, so a worker
+/// compiles or reuses each CPM exactly as a solo run would), the range to
+/// run, and the scheduler lane to run it on.
 #[derive(Debug, Clone)]
 pub struct ShardRequest {
     /// The checkpointed stage the shard executes against.
@@ -233,11 +235,10 @@ fn cpm_count(stage: &SubsetsSelected) -> usize {
 }
 
 /// Executes one shard against `stage`, in-process: runs
-/// [`SubsetsSelected::run_cpm_item_counts`] over the range and counts the
-/// compiles its own items cost — one per CPM when the stage recompiles
-/// CPMs, else zero (the `without_recompilation` stages sweeps ship; the
-/// bench and tests assert workers never recompile). The count follows the
-/// rule `finish_cpms` records, so it is exact at any concurrency.
+/// [`SubsetsSelected::run_cpm_item_counts`] over the range. A recompiling
+/// stage compiles each CPM on whichever process runs it; the one compile
+/// count is the `run-cpms` record [`merge_partials`] writes through
+/// [`SubsetsSelected::finish_cpms`].
 ///
 /// # Panics
 ///
@@ -263,8 +264,7 @@ pub fn execute_shard(stage: &SubsetsSelected, shard: &Shard) -> ShardPartial {
             counts: stage.run_cpm_item_counts(item),
         })
         .collect();
-    let compiles = stage.ctx().cpm_compiles(items.len());
-    ShardPartial { shard_index: shard.index, lo: shard.lo, hi: shard.hi, compiles, histograms }
+    ShardPartial { shard_index: shard.index, lo: shard.lo, hi: shard.hi, histograms }
 }
 
 /// A distributed sweep failure. Every variant is terminal and typed —
@@ -489,23 +489,33 @@ pub fn run_sharded(
 }
 
 /// The watchdog: waits for completion or failure, accumulating wait time
-/// in [`POLL_INTERVAL`] units, and converts expiry into a typed
-/// [`DistError::Timeout`] so a silent worker can never hang the driver.
+/// since the last finished shard in [`POLL_INTERVAL`] units, and converts
+/// expiry into a typed [`DistError::Timeout`] so a silent worker can never
+/// hang the driver. Only a poll that times out counts (a wake-up before it
+/// is a shard event), and each finished shard restarts the count, so a
+/// sweep still making progress never runs its watchdog down.
 fn watch(sweep: &Sweep, config: &DistConfig, total: usize) {
     let mut waited = Duration::ZERO;
+    let mut finished = 0;
     let mut state = sweep.queue.lock();
     loop {
         if state.failure.is_some() || state.results.len() == total {
             break;
+        }
+        if state.results.len() > finished {
+            finished = state.results.len();
+            waited = Duration::ZERO;
         }
         if waited >= config.watchdog {
             state.failure =
                 Some(DistError::Timeout { waited, unfinished: total - state.results.len() });
             break;
         }
-        let (guard, _) = sweep.changed.wait_timeout(state, POLL_INTERVAL);
+        let (guard, poll) = sweep.changed.wait_timeout(state, POLL_INTERVAL);
         state = guard;
-        waited += POLL_INTERVAL;
+        if poll.timed_out() {
+            waited += POLL_INTERVAL;
+        }
     }
     drop(state);
     sweep.changed.notify_all();

@@ -12,7 +12,6 @@
 //!                                              │ run_global()
 //!                                              ▼
 //!      SubsetsSelected ◀──select_subsets()── GlobalRun
-//!             │              /override_subsets(..)
 //!             │ run_cpms()
 //!             ▼
 //!          CpmsRun ──reconstruct()──▶ JigsawResult
@@ -39,7 +38,7 @@ use jigsaw_device::Device;
 use jigsaw_pmf::Pmf;
 use jigsaw_sim::{BackendKind, Executor, RunConfig};
 
-use crate::bayes::{reconstruct, Marginal, ReconstructionConfig};
+use crate::bayes::{reconstruct, Marginal};
 use crate::jigsaw::{JigsawConfig, JigsawResult, TrialAllocation};
 use crate::seed;
 use crate::subsets::{adaptive_layers, generate, SubsetSelection};
@@ -163,13 +162,13 @@ impl fmt::Display for StageTimings {
 
 /// The trial-budget split computed by [`JigsawPipeline::plan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BudgetPlan {
+pub(crate) struct BudgetPlan {
     /// Trials spent in global mode.
-    pub global_trials: u64,
+    global_trials: u64,
     /// Trials available to the CPM subset mode.
-    pub subset_trials: u64,
+    subset_trials: u64,
     /// Subset sizes that fit the program, descending (§4.4.2 order).
-    pub sizes: Vec<usize>,
+    sizes: Vec<usize>,
 }
 
 /// Why [`JigsawPipeline::try_plan`] refused a job. These are the
@@ -305,18 +304,6 @@ impl Ctx {
         Executor::new(&self.device).run(&artifact.circuit, item.trials, &cpm_run)
     }
 
-    /// Compilations running `items` CPM work items costs: one each when
-    /// the config recompiles CPMs, none when they reuse the global mapping.
-    /// The stage record and shard partials both count this way, so every
-    /// execution path reports the same number.
-    pub(crate) fn cpm_compiles(&self, items: usize) -> u64 {
-        if self.config.recompile_cpms {
-            items as u64
-        } else {
-            0
-        }
-    }
-
     /// The inputs the archive config digest covers (see [`crate::persist`]).
     pub(crate) fn digest_inputs(&self) -> (&Circuit, &Device, &JigsawConfig) {
         (&self.program, &self.device, &self.config)
@@ -447,24 +434,6 @@ pub struct Planned {
 }
 
 impl Planned {
-    /// The budget split this run will use.
-    #[must_use]
-    pub fn plan(&self) -> &BudgetPlan {
-        &self.ctx.plan
-    }
-
-    /// The configuration driving the run.
-    #[must_use]
-    pub fn config(&self) -> &JigsawConfig {
-        &self.ctx.config
-    }
-
-    /// Telemetry accumulated so far.
-    #[must_use]
-    pub fn timings(&self) -> &StageTimings {
-        &self.ctx.timings
-    }
-
     /// Stage 1: noise-aware compilation of the global-mode circuit (all
     /// qubits measured).
     ///
@@ -506,18 +475,6 @@ impl GlobalCompiled {
     #[must_use]
     pub fn artifact(&self) -> &Compiled {
         &self.global
-    }
-
-    /// The configuration driving the run.
-    #[must_use]
-    pub fn config(&self) -> &JigsawConfig {
-        &self.ctx.config
-    }
-
-    /// The budget split this run will use.
-    #[must_use]
-    pub fn plan(&self) -> &BudgetPlan {
-        &self.ctx.plan
     }
 
     /// Telemetry accumulated so far.
@@ -597,30 +554,6 @@ impl GlobalRun {
         &self.global
     }
 
-    /// Simulation backend the global run resolved to.
-    #[must_use]
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// The configuration driving the run.
-    #[must_use]
-    pub fn config(&self) -> &JigsawConfig {
-        &self.ctx.config
-    }
-
-    /// The budget split this run uses.
-    #[must_use]
-    pub fn plan(&self) -> &BudgetPlan {
-        &self.ctx.plan
-    }
-
-    /// Telemetry accumulated so far.
-    #[must_use]
-    pub fn timings(&self) -> &StageTimings {
-        &self.ctx.timings
-    }
-
     /// Replaces the subset sizes for the downstream stages — the global
     /// stages do not depend on them, so a fork per size shares this run
     /// (the `abl_subset_size` sweep).
@@ -642,26 +575,11 @@ impl GlobalRun {
         self
     }
 
-    /// Replaces the per-CPM trial allocation policy.
-    #[must_use]
-    pub fn with_allocation(mut self, allocation: TrialAllocation) -> Self {
-        self.ctx.config.allocation = allocation;
-        self
-    }
-
     /// Disables CPM recompilation downstream ("JigSaw w/o recompilation",
     /// Fig. 11): CPMs reuse this run's global mapping.
     #[must_use]
     pub fn without_recompilation(mut self) -> Self {
         self.ctx.config.recompile_cpms = false;
-        self
-    }
-
-    /// Replaces the reconstruction convergence controls used by
-    /// [`CpmsRun::reconstruct`].
-    #[must_use]
-    pub fn with_reconstruction(mut self, reconstruction: ReconstructionConfig) -> Self {
-        self.ctx.config.reconstruction = reconstruction;
         self
     }
 
@@ -677,67 +595,24 @@ impl GlobalRun {
     /// Panics if a random selection requests more distinct subsets than
     /// exist.
     #[must_use]
-    pub fn select_subsets(self) -> SubsetsSelected {
-        self.select_with_layers(|ctx, global_pmf| {
+    pub fn select_subsets(mut self) -> SubsetsSelected {
+        let layers = self.ctx.timed(|ctx| {
             let n = ctx.program.n_qubits();
-            let config_seed = ctx.config.seed;
             let sizes = &ctx.plan.sizes;
             let per_size: Vec<Vec<Vec<usize>>> = match ctx.config.selection {
                 // One entropy/MI model serves every size layer.
                 SubsetSelection::Adaptive => {
-                    adaptive_layers(global_pmf, sizes, ctx.config.run.threads)
+                    adaptive_layers(&self.global_pmf, sizes, ctx.config.run.threads)
                 }
                 other => sizes
                     .iter()
-                    .map(|&size| generate(n, size, other, seed::subset_layer(config_seed, size)))
+                    .map(|&size| {
+                        generate(n, size, other, seed::subset_layer(ctx.config.seed, size))
+                    })
                     .collect(),
             };
-            sizes.clone().into_iter().zip(per_size).collect()
-        })
-    }
-
-    /// Stage 3, caller-steered: uses the given subsets instead of a
-    /// selection policy. Subsets are grouped by size (descending, §4.4.2
-    /// order) and budgeted exactly like selected ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subsets` is empty, or any subset is empty, has duplicate
-    /// or out-of-range qubits, or measures the whole program.
-    #[must_use]
-    pub fn override_subsets(self, subsets: Vec<Vec<usize>>) -> SubsetsSelected {
-        self.select_with_layers(|ctx, _| {
-            let n = ctx.program.n_qubits();
-            assert!(!subsets.is_empty(), "override_subsets needs at least one subset");
-            let mut by_size: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
-            for mut subset in subsets {
-                subset.sort_unstable();
-                assert!(!subset.is_empty(), "a CPM must measure at least one qubit");
-                assert!(subset.len() < n, "a CPM of all {n} qubits is the global mode");
-                assert!(*subset.last().expect("non-empty") < n, "subset {subset:?} out of range");
-                assert!(
-                    subset.windows(2).all(|w| w[0] != w[1]),
-                    "subset {subset:?} has duplicates"
-                );
-                match by_size.iter_mut().find(|(s, _)| *s == subset.len()) {
-                    Some((_, list)) => list.push(subset),
-                    None => by_size.push((subset.len(), vec![subset])),
-                }
-            }
-            by_size.sort_unstable_by_key(|layer| std::cmp::Reverse(layer.0));
-            by_size
-        })
-    }
-
-    /// Stage 3 proper: `select` lists the subsets per size layer (given the
-    /// context and the global PMF); the layers are then budgeted, and both
-    /// steps are timed as the stage.
-    fn select_with_layers(
-        mut self,
-        select: impl FnOnce(&Ctx, &Pmf) -> Vec<(usize, Vec<Vec<usize>>)>,
-    ) -> SubsetsSelected {
-        let layers = self.ctx.timed(|ctx| {
-            let lists = select(ctx, &self.global_pmf);
+            let lists: Vec<(usize, Vec<Vec<usize>>)> =
+                sizes.iter().copied().zip(per_size).collect();
             let cpm_count: usize = lists.iter().map(|(_, subs)| subs.len()).sum();
             let subset_trials = ctx.plan.subset_trials;
 
@@ -795,9 +670,8 @@ impl GlobalRun {
     }
 }
 
-/// Stage result of [`GlobalRun::select_subsets`] /
-/// [`GlobalRun::override_subsets`]: the CPM work list with per-layer
-/// budgets.
+/// Stage result of [`GlobalRun::select_subsets`]: the CPM work list with
+/// per-layer budgets.
 #[derive(Debug, Clone)]
 pub struct SubsetsSelected {
     ctx: Ctx,
@@ -812,24 +686,6 @@ impl SubsetsSelected {
     #[must_use]
     pub fn layers(&self) -> &[SubsetLayer] {
         &self.layers
-    }
-
-    /// The global-mode PMF (the reconstruction prior).
-    #[must_use]
-    pub fn global_pmf(&self) -> &Pmf {
-        &self.global_pmf
-    }
-
-    /// The configuration driving the run.
-    #[must_use]
-    pub fn config(&self) -> &JigsawConfig {
-        &self.ctx.config
-    }
-
-    /// Telemetry accumulated so far.
-    #[must_use]
-    pub fn timings(&self) -> &StageTimings {
-        &self.ctx.timings
     }
 
     /// The CPM execution work list this stage will fan out: one item per
@@ -920,7 +776,10 @@ impl SubsetsSelected {
                 stage: StageName::RunCpms,
                 wall: Duration::ZERO,
                 trials: cpm_trials,
-                compiles: ctx.cpm_compiles(items),
+                // One compile per CPM when the config recompiles them, none
+                // when they reuse the global mapping: derived from the work
+                // list, so every execution path records the same count.
+                compiles: if ctx.config.recompile_cpms { items as u64 } else { 0 },
                 items,
                 backend: None,
                 support: None,
@@ -1065,18 +924,6 @@ pub enum StageOutcome {
 }
 
 impl StageTask {
-    /// The stage [`Self::advance`] will execute next.
-    #[must_use]
-    pub fn next_stage(&self) -> StageName {
-        match self {
-            Self::Planned(_) => StageName::CompileGlobal,
-            Self::GlobalCompiled(_) => StageName::RunGlobal,
-            Self::GlobalRun(_) => StageName::SelectSubsets,
-            Self::SubsetsSelected(_) => StageName::RunCpms,
-            Self::CpmsRun(_) => StageName::Reconstruct,
-        }
-    }
-
     /// Runs exactly one stage transition — the same typestate method a
     /// solo driver would call.
     ///
@@ -1538,22 +1385,6 @@ mod tests {
     }
 
     #[test]
-    fn override_subsets_groups_by_size_and_runs() {
-        let device = Device::toronto();
-        let b = bench::ghz(6);
-        let config = quick_config(2000).with_seed(1);
-        let result = JigsawPipeline::plan(b.circuit(), &device, &config)
-            .compile_global()
-            .run_global()
-            .override_subsets(vec![vec![0, 1], vec![2, 3, 4], vec![4, 5]])
-            .run_cpms()
-            .reconstruct();
-        let sizes: Vec<usize> = result.marginals.iter().map(Marginal::size).collect();
-        assert_eq!(sizes, vec![3, 2, 2], "descending size order");
-        assert!((result.output.total_mass() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn timings_cover_every_stage() {
         let device = Device::toronto();
         let b = bench::ghz(5);
@@ -1635,24 +1466,15 @@ mod tests {
         let b = bench::ghz(6);
         let config = quick_config(1600).with_seed(11);
         let mut task = StageTask::Planned(JigsawPipeline::plan(b.circuit(), &device, &config));
-        let mut stages = Vec::new();
+        let mut advances = 0;
         let result = loop {
-            stages.push(task.next_stage());
+            advances += 1;
             match task.advance() {
                 StageOutcome::Next(next) => task = *next,
                 StageOutcome::Done(result) => break *result,
             }
         };
-        assert_eq!(
-            stages,
-            vec![
-                StageName::CompileGlobal,
-                StageName::RunGlobal,
-                StageName::SelectSubsets,
-                StageName::RunCpms,
-                StageName::Reconstruct,
-            ]
-        );
+        assert_eq!(advances, 5, "one advance per stage transition");
         assert_eq!(result, run_jigsaw(b.circuit(), &device, &config));
     }
 
@@ -1697,16 +1519,5 @@ mod tests {
             .run_global()
             .select_subsets();
         let _ = selected.finish_cpms(Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "all 5 qubits is the global mode")]
-    fn override_rejects_whole_program_subsets() {
-        let device = Device::toronto();
-        let b = bench::ghz(5);
-        let _ = JigsawPipeline::plan(b.circuit(), &device, &quick_config(1000))
-            .compile_global()
-            .run_global()
-            .override_subsets(vec![vec![0, 1, 2, 3, 4]]);
     }
 }

@@ -336,51 +336,6 @@ impl CalibrationSpec {
     }
 }
 
-/// Wire format: `median` then `sigma` as exact `f64` bit patterns.
-impl jigsaw_pmf::codec::Encode for LogNormalSpec {
-    fn encode(&self, w: &mut jigsaw_pmf::codec::Writer) {
-        w.put_f64(self.median);
-        w.put_f64(self.sigma);
-    }
-}
-
-impl jigsaw_pmf::codec::Decode for LogNormalSpec {
-    fn decode(
-        r: &mut jigsaw_pmf::codec::Reader<'_>,
-    ) -> Result<Self, jigsaw_pmf::codec::CodecError> {
-        Ok(Self { median: r.f64()?, sigma: r.f64()? })
-    }
-}
-
-/// Wire format: the four [`LogNormalSpec`] families in declaration order,
-/// the asymmetry ratio, and the shuffle seed — everything needed to
-/// re-synthesise the identical calibration on any machine.
-impl jigsaw_pmf::codec::Encode for CalibrationSpec {
-    fn encode(&self, w: &mut jigsaw_pmf::codec::Writer) {
-        self.readout.encode(w);
-        w.put_f64(self.readout_asymmetry);
-        self.gate_1q.encode(w);
-        self.gate_2q.encode(w);
-        self.idle.encode(w);
-        w.put_u64(self.seed);
-    }
-}
-
-impl jigsaw_pmf::codec::Decode for CalibrationSpec {
-    fn decode(
-        r: &mut jigsaw_pmf::codec::Reader<'_>,
-    ) -> Result<Self, jigsaw_pmf::codec::CodecError> {
-        Ok(Self {
-            readout: LogNormalSpec::decode(r)?,
-            readout_asymmetry: r.f64()?,
-            gate_1q: LogNormalSpec::decode(r)?,
-            gate_2q: LogNormalSpec::decode(r)?,
-            idle: LogNormalSpec::decode(r)?,
-            seed: r.u64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -223,11 +223,6 @@ impl BitString {
         out
     }
 
-    /// Iterates over bits from qubit 0 upward.
-    pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len()).map(move |i| self.bit(i))
-    }
-
     /// Hamming distance to another outcome of the same width.
     ///
     /// # Panics
@@ -379,7 +374,7 @@ mod tests {
         let b = BitString::zeros(17);
         assert_eq!(b.len(), 17);
         assert_eq!(b.count_ones(), 0);
-        assert!(b.iter_bits().all(|x| !x));
+        assert!((0..b.len()).all(|i| !b.bit(i)));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   entries, the representation that gives JigSaw its linear memory
 //!   complexity (paper §7).
 //! * [`metrics`] — the paper's figures of merit: TVD-based Fidelity
-//!   (Equation 3), PST (Equation 1), IST (Equation 2), plus Hellinger and KL
-//!   distances.
+//!   (Equation 3), PST (Equation 1), IST (Equation 2), plus the Hellinger
+//!   distance.
 //! * [`partial`] — per-CPM histogram and per-shard partial-result wire
 //!   types for distributed sweeps ([`CpmHistogram`], [`ShardPartial`]).
 //! * [`codec`] — the [`Encode`](codec::Encode)/[`Decode`](codec::Decode)

@@ -1,5 +1,5 @@
 //! Figures of merit from §5.5 of the paper: distribution distances
-//! (TVD / Hellinger / KL), Fidelity, Probability of a Successful Trial (PST)
+//! (TVD / Hellinger), Fidelity, Probability of a Successful Trial (PST)
 //! and Inference Strength (IST).
 //!
 //! Every accumulating metric walks its PMFs in canonical
@@ -68,26 +68,6 @@ pub fn hellinger(p: &Pmf, q: &Pmf) -> f64 {
     assert_eq!(p.n_bits(), q.n_bits(), "Hellinger requires PMFs of equal width");
     let bc: f64 = p.sorted_entries().iter().map(|(b, pp)| (pp * q.prob(b)).sqrt()).sum();
     (1.0 - bc.min(1.0)).max(0.0).sqrt()
-}
-
-/// Kullback–Leibler divergence `Σ P(x)·ln(P(x)/Q(x))` in nats.
-///
-/// Outcomes where `Q` is zero but `P` is not contribute via a floor
-/// (`Q = 1e-12`) instead of `∞`, which is the conventional smoothing when
-/// comparing empirical histograms.
-///
-/// # Panics
-///
-/// Panics if the PMFs have different widths.
-#[must_use]
-pub fn kl_divergence(p: &Pmf, q: &Pmf) -> f64 {
-    assert_eq!(p.n_bits(), q.n_bits(), "KL divergence requires PMFs of equal width");
-    const FLOOR: f64 = 1e-12;
-    p.sorted_entries()
-        .iter()
-        .filter(|(_, pp)| *pp > 0.0)
-        .map(|(b, pp)| pp * (pp / q.prob(b).max(FLOOR)).ln())
-        .sum()
 }
 
 /// Probability of a Successful Trial (paper Equation 1): the total output
@@ -202,19 +182,6 @@ mod tests {
         let q = pmf(&[("11", 1.0)]);
         assert!((hellinger(&p, &q) - 1.0).abs() < 1e-12);
         assert!(hellinger(&p, &p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_zero_for_identical() {
-        let p = pmf(&[("0", 0.25), ("1", 0.75)]);
-        assert!(kl_divergence(&p, &p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_positive_for_different() {
-        let p = pmf(&[("0", 0.9), ("1", 0.1)]);
-        let q = pmf(&[("0", 0.5), ("1", 0.5)]);
-        assert!(kl_divergence(&p, &q) > 0.0);
     }
 
     #[test]

@@ -90,21 +90,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Applies `f` to every [`SHARD_SIZE`]-entry chunk of `entries` on the
-/// worker team, returning the per-shard results in shard order.
-///
-/// The shard layout depends only on `entries.len()`, so for a fixed input
-/// the result vector is identical at every `threads` setting; callers can
-/// fold the shards in order and obtain thread-count-invariant totals.
-pub fn map_shards<T, R, F>(entries: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    fan_out(entries.chunks(SHARD_SIZE).collect(), threads, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,23 +121,5 @@ mod tests {
             let message = caught.downcast_ref::<String>().map(String::as_str);
             assert_eq!(message, Some("item 5 failed"), "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn map_shards_layout_is_thread_count_invariant() {
-        let entries: Vec<u64> = (0..(SHARD_SIZE as u64 * 2 + 17)).collect();
-        let sums = |t| map_shards(&entries, t, |shard| shard.iter().sum::<u64>());
-        let serial = sums(1);
-        assert_eq!(serial.len(), 3, "fixed shard layout: two full shards plus a remainder");
-        for threads in [0, 2, 5] {
-            assert_eq!(sums(threads), serial);
-        }
-    }
-
-    #[test]
-    fn map_shards_handles_empty_input() {
-        let entries: Vec<u64> = Vec::new();
-        let out = map_shards(&entries, 0, |shard| shard.len());
-        assert!(out.is_empty());
     }
 }

@@ -11,9 +11,8 @@
 //!
 //! Both `Decode` impls validate the structural invariants (strictly
 //! ascending qubit subsets, width agreement, a contiguous `cpm_index`
-//! run covering exactly `lo..hi`, at most one compile per CPM) so a
-//! corrupt or adversarial frame surfaces a typed [`CodecError`] instead of
-//! poisoning a merge.
+//! run covering exactly `lo..hi`) so a corrupt or adversarial frame
+//! surfaces a typed [`CodecError`] instead of poisoning a merge.
 
 use crate::codec::{CodecError, Decode, Encode, Reader, Writer};
 use crate::Counts;
@@ -76,24 +75,17 @@ pub struct ShardPartial {
     pub lo: u64,
     /// One past the last CPM work-list index covered (exclusive).
     pub hi: u64,
-    /// Compiles this shard cost on the worker, counted from its own items:
-    /// one per CPM when the stage recompiles CPMs, else zero, so never more
-    /// than `hi − lo`. Sweeps run `without_recompilation`, so a non-zero
-    /// value flags a worker that recompiled instead of reusing the shipped
-    /// artifacts.
-    pub compiles: u64,
     /// One histogram per work item in `lo..hi`, in work-list order.
     pub histograms: Vec<CpmHistogram>,
 }
 
-/// Wire format: `shard_index`, `lo`, `hi`, `compiles` (all `u64`), then
-/// the histogram sequence (`u64` count, then [`CpmHistogram`]s).
+/// Wire format: `shard_index`, `lo`, `hi` (all `u64`), then the
+/// histogram sequence (`u64` count, then [`CpmHistogram`]s).
 impl Encode for ShardPartial {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.shard_index);
         w.put_u64(self.lo);
         w.put_u64(self.hi);
-        w.put_u64(self.compiles);
         self.histograms.encode(w);
     }
 }
@@ -103,20 +95,10 @@ impl Decode for ShardPartial {
         let shard_index = r.u64()?;
         let lo = r.u64()?;
         let hi = r.u64()?;
-        let compiles = r.u64()?;
         if lo >= hi {
             return Err(CodecError::InvalidValue {
                 what: "ShardPartial",
                 detail: format!("empty or inverted range {lo}..{hi}"),
-            });
-        }
-        if compiles > hi - lo {
-            return Err(CodecError::InvalidValue {
-                what: "ShardPartial",
-                detail: format!(
-                    "{compiles} compiles claimed for the {}-CPM range {lo}..{hi}",
-                    hi - lo
-                ),
             });
         }
         let histograms = Vec::<CpmHistogram>::decode(r)?;
@@ -137,7 +119,7 @@ impl Decode for ShardPartial {
                 });
             }
         }
-        Ok(Self { shard_index, lo, hi, compiles, histograms })
+        Ok(Self { shard_index, lo, hi, histograms })
     }
 }
 
@@ -159,7 +141,6 @@ mod tests {
             shard_index: 2,
             lo: 4,
             hi: 6,
-            compiles: 0,
             histograms: vec![histogram(4, vec![0, 3]), histogram(5, vec![1, 2, 5])],
         }
     }
@@ -201,15 +182,5 @@ mod tests {
         gapped.histograms[1].cpm_index = 9;
         let err = decode_from_slice::<ShardPartial>(&encode_to_vec(&gapped)).unwrap_err();
         assert!(format!("{err}").contains("claims CPM index"), "{err}");
-
-        // A worker cannot claim more compiles than CPMs it returned; one
-        // per CPM (a fully recompiled shard) is the ceiling.
-        let mut ceiling = partial();
-        ceiling.compiles = 2;
-        assert_eq!(decode_from_slice::<ShardPartial>(&encode_to_vec(&ceiling)).unwrap(), ceiling);
-        let mut inflated = partial();
-        inflated.compiles = 3;
-        let err = decode_from_slice::<ShardPartial>(&encode_to_vec(&inflated)).unwrap_err();
-        assert!(matches!(err, CodecError::InvalidValue { what: "ShardPartial", .. }), "{err}");
     }
 }

@@ -151,7 +151,7 @@ impl Pmf {
     /// Entries in **canonical order** (ascending outcome value).
     ///
     /// This is the stable ordering every sharded/parallel operation walks
-    /// (feed the result to [`crate::parallel::map_shards`]): it depends
+    /// (in [`crate::parallel::SHARD_SIZE`] chunks): it depends
     /// only on the PMF's *contents*, never on insertion history or thread
     /// scheduling, so partial results computed over contiguous slices of it
     /// merge reproducibly — and iterated callers that keep their output in
@@ -500,7 +500,8 @@ mod tests {
         }
         let entries = p.sorted_entries();
         let masses = |t| {
-            crate::parallel::map_shards(&entries, t, |shard| {
+            let shards = entries.chunks(crate::parallel::SHARD_SIZE).collect();
+            crate::parallel::fan_out(shards, t, |shard: &[(BitString, f64)]| {
                 shard.iter().map(|(_, w)| w).sum::<f64>()
             })
         };

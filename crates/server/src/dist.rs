@@ -43,12 +43,6 @@ impl RemoteRunner {
     pub fn new(addr: SocketAddr) -> Self {
         Self { addr }
     }
-
-    /// The worker address this runner ships shards to.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
 }
 
 impl ShardRunner for RemoteRunner {

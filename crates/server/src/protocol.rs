@@ -10,7 +10,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  89 4A 53 4A 0D 0A 1A 0A   ("\x89JSJ\r\n\x1a\n")
-//! 8       2     protocol version (u16 LE, currently 4)
+//! 8       2     protocol version (u16 LE, currently 5)
 //! 10      1     frame kind tag (see FrameKind)
 //! 11      8     config digest (u64 LE; 0 where not applicable)
 //! 19      8     payload length N (u64 LE, at most 2^28)
@@ -64,8 +64,11 @@ pub const MAGIC: [u8; 8] = *b"\x89JSJ\r\n\x1a\x0a";
 /// (`docs/FORMAT.md` §7); a v2 peer is refused the same typed way. v4:
 /// every encoded `StageRecord` — inside `JobResult` payloads and the
 /// stage a `SubmitShard` ships — carries its compile count (archive format
-/// version 2); a v3 peer is refused the same typed way.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// version 2); a v3 peer is refused the same typed way. v5: the
+/// [`ShardResult`](FrameKind::ShardResult) payload dropped the `u64`
+/// compile count that followed its range (the run's `run-cpms` stage
+/// record is the one count); a v4 peer is refused the same typed way.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// The frame's envelope format.
 const FRAME: Envelope = Envelope { magic: MAGIC, version: PROTOCOL_VERSION };
@@ -320,9 +323,9 @@ pub struct JobRequest {
     pub config: JigsawConfig,
     /// Legacy stage hint. Its byte stays on the wire and must still name a
     /// valid [`StageKind`], but the server no longer reads it: an evicted
-    /// job spills its served response, not a pipeline stage. The field
-    /// leaves at the next protocol version bump that ships with a
-    /// benchmark update.
+    /// job spills its served response, not a pipeline stage. Removing it
+    /// changes the `SubmitJob` payload, so it needs its own protocol
+    /// version bump, taken together with a benchmark update.
     pub hint: StageKind,
     /// Scheduling lane for this job (protocol v2). Excluded from
     /// [`Self::digest`] — results are priority-invariant, so identical

@@ -107,13 +107,6 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the pending-connection queue depth.
-    #[must_use]
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth;
-        self
-    }
-
     /// Overrides the scheduler configuration.
     #[must_use]
     pub fn with_sched(mut self, sched: SchedConfig) -> Self {

@@ -42,12 +42,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Complex conjugate.
-    #[must_use]
-    pub fn conj(self) -> Self {
-        c(self.re, -self.im)
-    }
-
     /// Scales by a real factor.
     #[must_use]
     pub fn scale(self, k: f64) -> Self {
@@ -122,11 +116,9 @@ mod tests {
     }
 
     #[test]
-    fn norm_and_conj() {
+    fn norm_sqr_is_the_squared_modulus() {
         let z = c(3.0, 4.0);
         assert_eq!(z.norm_sqr(), 25.0);
-        assert_eq!(z.conj(), c(3.0, -4.0));
-        assert_eq!((z * z.conj()).re, 25.0);
     }
 
     #[test]

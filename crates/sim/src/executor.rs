@@ -111,16 +111,6 @@ impl RunConfig {
         self.backend = backend;
         self
     }
-
-    /// The worker count this config resolves to on this machine.
-    #[must_use]
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.threads
-        }
-    }
 }
 
 /// Wire format: `batch`, `seed`, the three noise-channel switches, the

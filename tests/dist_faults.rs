@@ -96,6 +96,24 @@ impl ShardRunner for WedgedRunner {
     }
 }
 
+/// A runner that takes `delay` over every shard, then executes it
+/// in-process: a slow but healthy worker.
+struct SlowRunner {
+    delay: Duration,
+}
+
+impl ShardRunner for SlowRunner {
+    fn run_shard(
+        &mut self,
+        stage: &SubsetsSelected,
+        shard: &Shard,
+        _priority: Priority,
+    ) -> Result<ShardPartial, String> {
+        std::thread::sleep(self.delay);
+        Ok(execute_shard(stage, shard))
+    }
+}
+
 /// A remote runner that holds its first shard until the doomed worker has
 /// read one, so the fault fires on every run whatever the thread timing.
 struct AfterFault {
@@ -249,5 +267,34 @@ fn wedged_workers_trip_the_watchdog_not_a_hang() {
             assert!(unfinished >= 1, "a timeout with nothing outstanding is a merge bug");
         }
         other => panic!("expected Timeout, got {other}"),
+    }
+}
+
+/// The watchdog bounds the wait for the next finished shard, not the
+/// sweep: a 600 ms watchdog lets through 48 one-CPM shards at 5 ms each
+/// (many completion wake-ups) and 12 four-CPM shards at 60 ms each (many
+/// quiet polls, 720 ms in all), and both merge to the solo bytes.
+#[test]
+fn a_sweep_still_making_progress_does_not_trip_the_watchdog() {
+    let mut config = JigsawConfig::jigsaw_m(4_800).without_recompilation().with_seed(29);
+    config.compiler.max_seeds = 3;
+    let program = bench::ghz(12).circuit().clone();
+    let device = Device::toronto();
+    let stage = JigsawPipeline::plan(&program, &device, &config)
+        .compile_global()
+        .run_global()
+        .select_subsets();
+    assert_eq!(cpm_count(&stage), 48);
+    let solo = encode_to_vec(&run_jigsaw(&program, &device, &config));
+    for (shard_size, delay_ms) in [(1, 5), (4, 60)] {
+        let runners: Vec<Box<dyn ShardRunner>> =
+            vec![Box::new(SlowRunner { delay: Duration::from_millis(delay_ms) })];
+        let dist = DistConfig::default()
+            .with_shard_size(shard_size)
+            .with_watchdog(Duration::from_millis(600));
+        let merged = run_sharded(&stage, runners, &dist).unwrap_or_else(|e| {
+            panic!("{shard_size}-CPM shards at {delay_ms} ms each must not time out: {e}")
+        });
+        assert_eq!(encode_to_vec(&merged), solo, "{shard_size}-CPM shards diverged from solo");
     }
 }

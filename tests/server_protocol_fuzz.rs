@@ -13,8 +13,7 @@
 //! Protocol v3 extended the kind space with the distributed-sweep shard
 //! frames (`SubmitShard`/`ShardResult`/`ShardError`); the battery covers
 //! them with the same strided corruption discipline, plus the version
-//! clash a previous-version peer produces against the current server and
-//! a forged `ShardResult` claiming more compiles than CPMs.
+//! clash a previous-version peer produces against the current server.
 
 use jigsaw_repro::circuit::bench;
 use jigsaw_repro::core::dist::{Shard, ShardRequest};
@@ -23,8 +22,7 @@ use jigsaw_repro::core::pipeline::{JigsawPipeline, SubsetsSelected};
 use jigsaw_repro::core::sched::Priority;
 use jigsaw_repro::core::{run_jigsaw, JigsawConfig};
 use jigsaw_repro::device::Device;
-use jigsaw_repro::pmf::codec::{decode_from_slice, encode_to_vec, fnv1a64, CodecError};
-use jigsaw_repro::pmf::ShardPartial;
+use jigsaw_repro::pmf::codec::{encode_to_vec, fnv1a64};
 use jigsaw_repro::server::client::Client;
 use jigsaw_repro::server::protocol::{
     decode_shard, decode_submit, Frame, FrameKind, JobRequest, ProtocolError, HEADER_LEN, MAGIC,
@@ -227,25 +225,6 @@ fn shard_result_frames_fail_typed_at_every_stride() {
         let mut bad = bytes.clone();
         bad[offset] ^= 0x01;
         assert!(Frame::from_bytes(&bad).is_err(), "flip at offset {offset} must not parse");
-    }
-}
-
-/// A worker cannot claim more compiles than CPMs it returned: a forged
-/// `ShardResult` whose checksum is valid still fails typed at decode.
-#[test]
-fn forged_shard_result_claiming_extra_compiles_is_refused() {
-    let request = sample_shard_request();
-    let mut partial = jigsaw_repro::core::dist::execute_shard(&request.stage, &request.shard);
-    partial.compiles = request.shard.len() + 1;
-    let frame = Frame {
-        kind: FrameKind::ShardResult,
-        digest: request.digest(),
-        payload: encode_to_vec(&partial),
-    };
-    let reparsed = Frame::from_bytes(&frame.to_bytes()).expect("frame shape is valid");
-    match decode_from_slice::<ShardPartial>(&reparsed.payload) {
-        Err(CodecError::InvalidValue { what: "ShardPartial", .. }) => {}
-        other => panic!("expected a typed ShardPartial refusal, got {other:?}"),
     }
 }
 
