@@ -10,10 +10,10 @@
 //!
 //! The [`harness`] module hosts the shared policy-evaluation engine
 //! (Baseline / EDM / JigSaw / JigSaw-M under equal trial budgets, §5.4),
-//! [`cli`] the tiny option parser, and [`table`] the text-table renderer.
-//! Criterion benches (`cargo bench -p jigsaw-bench`) cover the performance
-//! claims (reconstruction linearity, compile latency, simulator
-//! throughput).
+//! [`cli`] the tiny option parser, [`table`] the text-table renderer, and
+//! [`synthetic`] the seeded reconstruction inputs behind
+//! `tab7_scalability`'s measured linearity check (§7.3). Performance is
+//! measured by the separate `jigbench` workspace, not here.
 //!
 //! `fig9_adaptive` is the checkpointing sweep: it saves each benchmark's
 //! shared `GlobalRun` to `--checkpoint-dir` (the `jigsaw_core::persist`

@@ -1,8 +1,9 @@
-//! Seed-deterministic synthetic reconstruction inputs shared by the
-//! Criterion benches and the scaling scenario binaries.
+//! Seed-deterministic synthetic reconstruction inputs for
+//! `tab7_scalability`'s measured linearity check and the reconstruction
+//! sharding and golden tests.
 //!
 //! Real global-PMFs at 10⁵–10⁶ observed outcomes only arise from very long
-//! hardware runs; for benchmarking the reconstruction core it is the
+//! hardware runs; for timing and testing the reconstruction core it is the
 //! *support size* that matters, so these generators grow a support of the
 //! requested cardinality directly (one `u64` draw per entry) instead of
 //! simulating trials.

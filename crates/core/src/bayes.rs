@@ -445,33 +445,6 @@ pub fn reconstruction_round(p: &Pmf, marginals: &[Marginal], threads: usize) -> 
     pmf_from_canonical(p.n_bits(), &outcomes, &out)
 }
 
-/// One reconstruction round over the prior's canonical entry list.
-///
-/// `entries` must be in canonical (ascending outcome) order with positive
-/// weights, exactly as [`Pmf::sorted_entries`] returns; the output is the
-/// normalised round result **in the same outcome sequence** (the round
-/// only reweights, never drops, observed outcomes).
-///
-/// Each call builds the marginals' projection indices before its round, so
-/// its time includes that one-time cost; [`reconstruct`] pays it once per
-/// layer and reuses it for every round. The output is bit-identical at
-/// every `threads` setting.
-#[must_use]
-pub fn reconstruction_round_over_entries(
-    entries: &[(BitString, f64)],
-    marginals: &[Marginal],
-    threads: usize,
-) -> Vec<(BitString, f64)> {
-    debug_assert!(
-        entries.windows(2).all(|w| w[0].0 < w[1].0),
-        "entries must be in canonical ascending-outcome order"
-    );
-    let (outcomes, weights) = split_entries(entries);
-    let mut out = vec![0.0; weights.len()];
-    Layer::new(&outcomes, marginals, threads).run_round(&weights, &mut out);
-    outcomes.into_iter().zip(out).collect()
-}
-
 /// Iterated reconstruction: rounds repeat until the Hellinger distance
 /// between successive outputs drops below tolerance (§4.3's termination
 /// rule) or the round cap is reached. The result reports which, with the
@@ -675,24 +648,6 @@ mod tests {
                 reconstruct(&p, &ms, &ReconstructionConfig::default().with_threads(threads));
             assert_eq!(serial.pmf, parallel.pmf);
             assert_eq!(serial.rounds, parallel.rounds);
-        }
-    }
-
-    #[test]
-    fn round_over_entries_preserves_sequence_and_matches_pmf_round() {
-        let p = fig6_prior();
-        let ms = [fig6_marginal()];
-        let entries = p.sorted_entries();
-        let out = reconstruction_round_over_entries(&entries, &ms, 1);
-        // Same outcome sequence (rounds only reweight), normalised output.
-        let before: Vec<BitString> = entries.iter().map(|(b, _)| *b).collect();
-        let after: Vec<BitString> = out.iter().map(|(b, _)| *b).collect();
-        assert_eq!(before, after);
-        assert!((out.iter().map(|(_, v)| v).sum::<f64>() - 1.0).abs() < 1e-12);
-        // The Pmf-level wrapper is exactly this core plus a map build.
-        let wrapped = reconstruction_round(&p, &ms, 1);
-        for (b, v) in &out {
-            assert_eq!(wrapped.prob(b), *v);
         }
     }
 

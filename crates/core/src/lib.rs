@@ -95,8 +95,8 @@ pub mod telemetry;
 pub mod trials;
 
 pub use bayes::{
-    bayesian_update, reconstruct, reconstruction_round, reconstruction_round_over_entries,
-    Marginal, Reconstruction, ReconstructionConfig,
+    bayesian_update, reconstruct, reconstruction_round, Marginal, Reconstruction,
+    ReconstructionConfig,
 };
 pub use dist::{DistConfig, DistError, Shard, ShardRequest, ShardRunner};
 pub use evaluate::Scores;

@@ -38,7 +38,7 @@ fn main() -> ExitCode {
     }
 
     let spill = std::env::temp_dir().join(format!("jigsaw-worker-{}", std::process::id()));
-    let handle = match serve(&ServerConfig::new(spill).with_handlers(handlers)) {
+    let handle = match serve(&ServerConfig::new(&spill).with_handlers(handlers)) {
         Ok(handle) => handle,
         Err(error) => {
             eprintln!("jigsaw-worker: bind failed: {error}");
@@ -51,5 +51,6 @@ fn main() -> ExitCode {
     let _ = std::io::stdout().flush();
 
     handle.wait();
+    let _ = std::fs::remove_dir_all(&spill);
     ExitCode::SUCCESS
 }

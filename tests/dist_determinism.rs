@@ -60,11 +60,15 @@ fn spawn_worker_process() -> (std::process::Child, SocketAddr) {
     (child, SocketAddr::from(([127, 0, 0, 1], port)))
 }
 
+/// Shuts a spawned worker down and checks that it removed its spill
+/// directory on the way out.
 fn stop_worker_process(mut child: std::process::Child, addr: SocketAddr) {
     if let Ok(mut client) = Client::connect(addr) {
         client.shutdown_server().expect("shutdown acknowledged");
     }
+    let spill = std::env::temp_dir().join(format!("jigsaw-worker-{}", child.id()));
     let _ = child.wait();
+    assert!(!spill.exists(), "worker left its spill directory {} behind", spill.display());
 }
 
 /// In-process worker fleet: N TCP servers in this process.

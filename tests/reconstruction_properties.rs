@@ -141,5 +141,8 @@ proptest! {
         for (b, _) in out.pmf.iter() {
             prop_assert!(support.contains(b), "{b} appeared from nowhere");
         }
+        // Rounds reweight observed outcomes and never drop one.
+        prop_assert_eq!(out.pmf.support_size(), prior.support_size());
+        prop_assert!((out.pmf.total_mass() - 1.0).abs() < 1e-12);
     }
 }
