@@ -5,6 +5,26 @@
 //! coupler error, readout error (for measured programs) and an optional
 //! diversity penalty against previously-used regions (the knob EDM turns;
 //! paper §5.2 \[48\]).
+//!
+//! # An incremental search with the direct search's results
+//!
+//! The kernel keeps per-qubit state across steps instead of recounting each
+//! score, and every shortcut yields exactly what a recount would:
+//!
+//! - *Region growth* keeps, per qubit, its cheapest coupler into the region
+//!   (a `min`, which does not depend on the order qubits joined) and its
+//!   summed hop distance to the region as an integer (the `f64` sum of small
+//!   integers is exact, so it equals the converted integer sum). Each
+//!   frontier qubit is scored once per step, with the same expression and the
+//!   same (cost, index) tie-break.
+//! - *Assignment* costs are sums of `u32` weight × hop-distance products, so
+//!   they are integers, summed in `i64`. The greedy keeps each logical's
+//!   weight to the placed set as logicals are placed, and a pairwise swap is
+//!   taken iff its change, summed over the two logicals' partners only, is
+//!   negative: exactly when the recounted total would drop.
+//! - The *path search* sorts a qubit's neighbours by (step cost, qubit) once.
+//!   Skipping the qubits already on the path keeps that order, so the search
+//!   visits the same nodes, in the same order, within the same step budget.
 
 use jigsaw_circuit::Circuit;
 use jigsaw_device::Device;
@@ -78,44 +98,61 @@ pub fn layout_from_seed(
     let n = circuit.n_qubits();
     let topo = device.topology();
     let cal = device.calibration();
-    if n > topo.n_qubits() {
+    let n_physical = topo.n_qubits();
+    if n > n_physical {
         return None;
     }
 
-    let qubit_cost = |q: usize, region: &[usize]| -> f64 {
-        let readout = cal.readout(q).mean();
-        let best_link = region
-            .iter()
-            .filter(|&&r| topo.are_adjacent(r, q))
-            .map(|&r| cal.gate_2q(r, q))
-            .fold(f64::INFINITY, f64::min);
-        let overlap = avoid.iter().filter(|used| used.contains(&q)).count() as f64;
-        let spread = region.iter().map(|&r| f64::from(topo.distance(r, q))).sum::<f64>()
-            / region.len() as f64;
-        config.readout_weight * readout
-            + config.gate_weight * if best_link.is_finite() { best_link } else { 0.0 }
-            + config.diversity_penalty * overlap
-            + config.compactness_weight * spread
-    };
-
     // Region growth: absorb the cheapest frontier qubit until n are held.
-    let mut region = vec![seed];
-    let mut in_region = vec![false; topo.n_qubits()];
-    in_region[seed] = true;
-    while region.len() < n {
-        let next = region
-            .iter()
-            .flat_map(|&q| topo.neighbors(q))
-            .filter(|&&nb| !in_region[nb])
-            .min_by(|&&x, &&y| {
-                qubit_cost(x, &region)
-                    .partial_cmp(&qubit_cost(y, &region))
-                    .expect("finite costs")
-                    .then(x.cmp(&y))
-            })
-            .copied()?;
+    // Updated as each qubit joins the region:
+    // - `best_link[q]`: the cheapest coupler from `q` into the region;
+    // - `spread_sum[q]`: `q`'s summed hop distance to the region;
+    // - `frontier`: the region's neighbours outside it, each listed once.
+    let overlap: Vec<f64> = (0..n_physical)
+        .map(|q| avoid.iter().filter(|used| used.contains(&q)).count() as f64)
+        .collect();
+    let mut region = Vec::with_capacity(n);
+    let mut in_region = vec![false; n_physical];
+    let mut in_frontier = vec![false; n_physical];
+    let mut frontier: Vec<usize> = Vec::new();
+    let mut best_link = vec![f64::INFINITY; n_physical];
+    let mut spread_sum = vec![0u64; n_physical];
+    let mut next = seed;
+    loop {
         in_region[next] = true;
         region.push(next);
+        if let Some(i) = frontier.iter().position(|&q| q == next) {
+            frontier.swap_remove(i);
+        }
+        for (q, sum) in spread_sum.iter_mut().enumerate() {
+            *sum += u64::from(topo.distance(next, q));
+        }
+        for &nb in topo.neighbors(next) {
+            if !in_region[nb] {
+                best_link[nb] = best_link[nb].min(cal.gate_2q(next, nb));
+                if !in_frontier[nb] {
+                    in_frontier[nb] = true;
+                    frontier.push(nb);
+                }
+            }
+        }
+        if region.len() >= n {
+            break;
+        }
+        let qubit_cost = |q: usize| -> f64 {
+            let readout = cal.readout(q).mean();
+            let link = best_link[q];
+            let spread = spread_sum[q] as f64 / region.len() as f64;
+            config.readout_weight * readout
+                + config.gate_weight * if link.is_finite() { link } else { 0.0 }
+                + config.diversity_penalty * overlap[q]
+                + config.compactness_weight * spread
+        };
+        next = frontier
+            .iter()
+            .map(|&q| (qubit_cost(q), q))
+            .min_by(|x, y| x.0.partial_cmp(&y.0).expect("finite costs").then(x.1.cmp(&y.1)))?
+            .1;
     }
 
     Some(assign_in_region(circuit, device, &region))
@@ -132,8 +169,10 @@ pub fn layout_from_seed(
 fn assign_in_region(circuit: &Circuit, device: &Device, region: &[usize]) -> Layout {
     let n = circuit.n_qubits();
     let topo = device.topology();
+    let distance = |p: usize, q: usize| i64::from(topo.distance(p, q));
 
-    // Interaction weights from the program's 2q gates.
+    // Interaction weights from the program's 2q gates, kept per logical as
+    // (partner, weight) lists over the partners with a non-zero weight.
     let mut weight = vec![vec![0u32; n]; n];
     let mut degree = vec![0u32; n];
     for g in circuit.gates() {
@@ -144,13 +183,28 @@ fn assign_in_region(circuit: &Circuit, device: &Device, region: &[usize]) -> Lay
             degree[b] += 1;
         }
     }
+    let partners: Vec<Vec<(usize, i64)>> = weight
+        .iter()
+        .enumerate()
+        .map(|(l, row)| {
+            row.iter()
+                .enumerate()
+                .filter(|&(o, &w)| o != l && w > 0)
+                .map(|(o, &w)| (o, i64::from(w)))
+                .collect()
+        })
+        .collect();
 
-    let region_degree = |q: usize| region.iter().filter(|&&r| topo.are_adjacent(r, q)).count();
-    let total_cost = |map: &[usize]| -> f64 {
-        let mut cost = 0.0;
-        for a in 0..n {
-            for b in (a + 1)..n {
-                cost += f64::from(weight[a][b] * topo.distance(map[a], map[b]));
+    let mut in_region = vec![false; topo.n_qubits()];
+    for &q in region {
+        in_region[q] = true;
+    }
+    let region_degree = |q: usize| topo.neighbors(q).iter().filter(|&&nb| in_region[nb]).count();
+    let total_cost = |map: &[usize]| -> i64 {
+        let mut cost = 0;
+        for (a, links) in partners.iter().enumerate() {
+            for &(b, w) in links.iter().filter(|&&(b, _)| b > a) {
+                cost += w * distance(map[a], map[b]);
             }
         }
         cost
@@ -161,34 +215,34 @@ fn assign_in_region(circuit: &Circuit, device: &Device, region: &[usize]) -> Lay
         let mut free: Vec<usize> = region.to_vec();
         let first_idx = free.iter().position(|&q| q == first_physical).expect("in region");
         assignment[first_logical] = Some(free.swap_remove(first_idx));
+        // `attached[l]`: l's interaction weight to the placed set.
+        let mut attached = vec![0i64; n];
+        for &(o, w) in &partners[first_logical] {
+            attached[o] += w;
+        }
 
         // Repeatedly place the unassigned logical most connected to the
         // placed set, on the free qubit minimising weighted distance to its
-        // partners.
+        // placed partners (ties to the lower qubit index).
         for _ in 1..n {
             let next_logical = (0..n)
                 .filter(|&l| assignment[l].is_none())
-                .max_by_key(|&l| {
-                    let attached: u32 =
-                        (0..n).filter(|&o| assignment[o].is_some()).map(|o| weight[l][o]).sum();
-                    (attached, degree[l], std::cmp::Reverse(l))
-                })
+                .max_by_key(|&l| (attached[l], degree[l], std::cmp::Reverse(l)))
                 .expect("unassigned logical remains");
+            let anchors: Vec<(usize, i64)> = partners[next_logical]
+                .iter()
+                .filter_map(|&(o, w)| assignment[o].map(|p| (p, w)))
+                .collect();
             let best_idx = (0..free.len())
-                .min_by(|&i, &j| {
-                    let cost = |q: usize| -> f64 {
-                        (0..n)
-                            .filter_map(|o| assignment[o].map(|p| (o, p)))
-                            .map(|(o, p)| f64::from(weight[next_logical][o] * topo.distance(q, p)))
-                            .sum()
-                    };
-                    cost(free[i])
-                        .partial_cmp(&cost(free[j]))
-                        .expect("finite")
-                        .then(free[i].cmp(&free[j]))
+                .min_by_key(|&i| {
+                    let q = free[i];
+                    (anchors.iter().map(|&(p, w)| w * distance(q, p)).sum::<i64>(), q)
                 })
                 .expect("free qubit remains");
             assignment[next_logical] = Some(free.swap_remove(best_idx));
+            for &(o, w) in &partners[next_logical] {
+                attached[o] += w;
+            }
         }
         assignment.into_iter().map(|p| p.expect("all placed")).collect()
     };
@@ -212,22 +266,31 @@ fn assign_in_region(circuit: &Circuit, device: &Device, region: &[usize]) -> Lay
     let mut map = starts
         .into_iter()
         .map(|(l, q)| greedy(l, q))
-        .min_by(|a, b| total_cost(a).partial_cmp(&total_cost(b)).expect("finite"))
+        .min_by_key(|map| total_cost(map))
         .expect("at least one start");
 
     // Pairwise-swap refinement until no exchange lowers the total cost.
-    let mut best = total_cost(&map);
+    // Swapping a and b moves only the terms of their partners (the a–b
+    // term keeps its distance), so a swap is taken iff that change is
+    // negative.
+    let swap_delta = |map: &[usize], a: usize, b: usize| -> i64 {
+        // Moving `l` from `from` to `to` (its swap partner `other` excluded).
+        let shift = |l: usize, other: usize, from: usize, to: usize| -> i64 {
+            partners[l]
+                .iter()
+                .filter(|&&(o, _)| o != other)
+                .map(|&(o, w)| w * (distance(to, map[o]) - distance(from, map[o])))
+                .sum()
+        };
+        shift(a, b, map[a], map[b]) + shift(b, a, map[b], map[a])
+    };
     loop {
         let mut improved = false;
         for a in 0..n {
             for b in (a + 1)..n {
-                map.swap(a, b);
-                let cost = total_cost(&map);
-                if cost + 1e-12 < best {
-                    best = cost;
-                    improved = true;
-                } else {
+                if swap_delta(&map, a, b) < 0 {
                     map.swap(a, b);
+                    improved = true;
                 }
             }
         }
@@ -311,6 +374,11 @@ pub fn path_layout_from_seed(
         n: usize,
         best: Option<(f64, Vec<usize>)>,
         budget: usize,
+        /// A qubit's neighbours sorted by (step cost, qubit), built on its
+        /// first visit. A visit's options are this list minus the qubits on
+        /// the path: filtering keeps the sorted order, so the search visits
+        /// the same nodes in the same order as sorting per visit.
+        steps: Vec<Option<Vec<(f64, usize)>>>,
     }
 
     impl<C: Fn(usize) -> f64> Search<'_, C> {
@@ -326,16 +394,24 @@ pub fn path_layout_from_seed(
                 return;
             }
             let cur = *path.last().expect("non-empty");
-            let mut options: Vec<(f64, usize)> = self
-                .topo
-                .neighbors(cur)
-                .iter()
-                .copied()
-                .filter(|&nb| !on_path[nb])
-                .map(|nb| ((self.node_cost)(nb) + self.gate_weight * self.cal.gate_2q(cur, nb), nb))
-                .collect();
-            options.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
-            for (step_cost, nb) in options {
+            // `cur` is on the path, so no deeper call reads its list while
+            // it is taken out here.
+            let options = self.steps[cur].take().unwrap_or_else(|| {
+                let mut options: Vec<(f64, usize)> = self
+                    .topo
+                    .neighbors(cur)
+                    .iter()
+                    .map(|&nb| {
+                        ((self.node_cost)(nb) + self.gate_weight * self.cal.gate_2q(cur, nb), nb)
+                    })
+                    .collect();
+                options.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
+                options
+            });
+            for &(step_cost, nb) in &options {
+                if on_path[nb] {
+                    continue;
+                }
                 let total = cost_so_far + step_cost;
                 if self.best.as_ref().is_some_and(|(c, _)| total >= *c) {
                     continue; // bound: cannot beat the best complete path
@@ -346,6 +422,7 @@ pub fn path_layout_from_seed(
                 path.pop();
                 on_path[nb] = false;
             }
+            self.steps[cur] = Some(options);
         }
     }
 
@@ -357,6 +434,7 @@ pub fn path_layout_from_seed(
         n,
         best: None,
         budget: 50_000,
+        steps: vec![None; topo.n_qubits()],
     };
     let mut on_path = vec![false; topo.n_qubits()];
     on_path[seed] = true;

@@ -32,6 +32,7 @@
 //! `tests/dist_faults.rs` injects worker deaths, duplicate and dropped
 //! results.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -178,32 +179,36 @@ pub fn plan_shards(items: usize, shard_size: usize) -> Vec<Shard> {
 /// [`SubsetsSelected`] stage (global artifact and config, so a worker
 /// compiles or reuses each CPM exactly as a solo run would), the range to
 /// run, and the scheduler lane to run it on.
+///
+/// The stage is owned once decoded and may be borrowed when encoding
+/// (`ShardRequest<&SubsetsSelected>`), so a driver frames every shard of
+/// one sweep from the same stage without cloning it.
 #[derive(Debug, Clone)]
-pub struct ShardRequest {
+pub struct ShardRequest<S = SubsetsSelected> {
     /// The checkpointed stage the shard executes against.
-    pub stage: SubsetsSelected,
+    pub stage: S,
     /// The work-list range to execute.
     pub shard: Shard,
     /// The worker-side scheduler lane.
     pub priority: Priority,
 }
 
-impl ShardRequest {
+impl<S: Borrow<SubsetsSelected>> ShardRequest<S> {
     /// The persist config digest of the producing triple; shard frames
     /// bind payloads to it exactly like job frames do.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        self.stage.config_digest()
+        self.stage.borrow().config_digest()
     }
 }
 
 /// Wire format: the [`Shard`], the priority code byte, then the persist
 /// encoding of the [`SubsetsSelected`] stage.
-impl Encode for ShardRequest {
+impl<S: Borrow<SubsetsSelected>> Encode for ShardRequest<S> {
     fn encode(&self, w: &mut Writer) {
         self.shard.encode(w);
         w.put_u8(self.priority.code());
-        self.stage.encode(w);
+        self.stage.borrow().encode(w);
     }
 }
 

@@ -136,9 +136,9 @@ impl Client {
     /// [`ClientError::Rejected`] carries the worker's typed
     /// [`JobRejection`]; other variants are transport/framing failures —
     /// including [`ClientError::Closed`] when the worker dies mid-shard.
-    pub fn submit_shard(
+    pub fn submit_shard<S: std::borrow::Borrow<jigsaw_core::pipeline::SubsetsSelected>>(
         &mut self,
-        request: &jigsaw_core::dist::ShardRequest,
+        request: &jigsaw_core::dist::ShardRequest<S>,
     ) -> Result<jigsaw_pmf::ShardPartial, ClientError> {
         Frame::submit_shard(request).write_to(&mut self.stream)?;
         let reply = self.expect_frame()?;

@@ -54,7 +54,7 @@ impl ShardRunner for RemoteRunner {
     ) -> Result<ShardPartial, String> {
         let mut client = Client::connect(self.addr)
             .map_err(|e| format!("worker {} unreachable: {e}", self.addr))?;
-        let request = ShardRequest { stage: stage.clone(), shard: *shard, priority };
+        let request = ShardRequest { stage, shard: *shard, priority };
         client
             .submit_shard(&request)
             .map_err(|e| format!("worker {} failed shard {}: {e}", self.addr, shard.index))

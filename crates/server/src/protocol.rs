@@ -31,12 +31,14 @@
 //! ([`ProtocolError::DigestMismatch`]), so a cache key can never be spoofed
 //! onto a different job.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::io::{self, Read, Write};
 
 use jigsaw_circuit::Circuit;
 use jigsaw_core::dist::ShardRequest;
 use jigsaw_core::persist::config_digest;
+use jigsaw_core::pipeline::SubsetsSelected;
 use jigsaw_core::sched::Priority;
 use jigsaw_core::{JigsawConfig, StageKind};
 use jigsaw_device::Device;
@@ -169,7 +171,7 @@ impl Frame {
     /// Frames a [`ShardRequest`], binding the digest field to the payload
     /// exactly like [`Self::submit`] does for jobs.
     #[must_use]
-    pub fn submit_shard(request: &ShardRequest) -> Self {
+    pub fn submit_shard<S: Borrow<SubsetsSelected>>(request: &ShardRequest<S>) -> Self {
         Self {
             kind: FrameKind::SubmitShard,
             digest: request.digest(),
