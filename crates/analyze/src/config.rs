@@ -206,6 +206,7 @@ impl Config {
             locks: vec![
                 lock("crates/core/src/dist.rs", "queue", "dist.queue", 5),
                 lock("crates/server/src/server.rs", "pending", "server.conn_queue", 10),
+                lock("crates/server/src/server.rs", "stages", "server.stage_store", 15),
                 lock("crates/server/src/cache.rs", "inner", "cache.inner", 20),
                 lock("crates/core/src/sched.rs", "state", "sched.state", 30),
                 lock("crates/core/src/sched.rs", "slot", "sched.cell.slot", 40),
@@ -293,9 +294,10 @@ impl Config {
                 // Scheduling a decoded-and-digest-checked request; the
                 // request never re-enters byte parsing from here.
                 entry("crates/server/src/server.rs", "compute_job"),
-                // Same contract for shards: `decode_shard` has already
-                // range-checked the shard against the decoded stage's own
-                // work list before the scheduler sees it.
+                // Same contract for shards: the shard was range-checked
+                // against its stage's work list before the scheduler sees
+                // it (`decode_shard` for an inline stage, `resolve_stage`
+                // for a by-reference one).
                 entry("crates/server/src/server.rs", "compute_shard"),
                 // Constructors with a documented `# Panics` contract whose
                 // decoders re-validate every index *before* constructing

@@ -175,40 +175,40 @@ pub fn plan_shards(items: usize, shard_size: usize) -> Vec<Shard> {
         .collect()
 }
 
-/// A shard execution request as shipped to a worker: the full
-/// [`SubsetsSelected`] stage (global artifact and config, so a worker
-/// compiles or reuses each CPM exactly as a solo run would), the range to
-/// run, and the scheduler lane to run it on.
+/// A shard execution request as shipped to a worker: the range to run, the
+/// scheduler lane to run it on, and the [`SubsetsSelected`] stage it runs
+/// against (global artifact and config, so a worker compiles or reuses each
+/// CPM exactly as a solo run would) — or, with `stage: None`, nothing but
+/// the frame's config digest, for a worker that already holds the stage
+/// (protocol v6, `docs/FORMAT.md` §7).
 ///
 /// The stage is owned once decoded and may be borrowed when encoding
 /// (`ShardRequest<&SubsetsSelected>`), so a driver frames every shard of
 /// one sweep from the same stage without cloning it.
 #[derive(Debug, Clone)]
 pub struct ShardRequest<S = SubsetsSelected> {
-    /// The checkpointed stage the shard executes against.
-    pub stage: S,
     /// The work-list range to execute.
     pub shard: Shard,
     /// The worker-side scheduler lane.
     pub priority: Priority,
+    /// The stage inline, or `None` to name it by the frame's digest alone.
+    pub stage: Option<S>,
 }
 
-impl<S: Borrow<SubsetsSelected>> ShardRequest<S> {
-    /// The persist config digest of the producing triple; shard frames
-    /// bind payloads to it exactly like job frames do.
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        self.stage.borrow().config_digest()
-    }
-}
-
-/// Wire format: the [`Shard`], the priority code byte, then the persist
+/// Wire format: the [`Shard`], the priority code byte, a presence byte
+/// (`0` by reference, `1` inline), then — inline only — the persist
 /// encoding of the [`SubsetsSelected`] stage.
 impl<S: Borrow<SubsetsSelected>> Encode for ShardRequest<S> {
     fn encode(&self, w: &mut Writer) {
         self.shard.encode(w);
         w.put_u8(self.priority.code());
-        self.stage.borrow().encode(w);
+        match &self.stage {
+            None => w.put_u8(0),
+            Some(stage) => {
+                w.put_u8(1);
+                stage.borrow().encode(w);
+            }
+        }
     }
 }
 
@@ -218,18 +218,41 @@ impl Decode for ShardRequest {
         let code = r.u8()?;
         let priority = Priority::from_code(code)
             .ok_or(CodecError::InvalidTag { what: "ShardRequest priority", tag: code })?;
-        let stage = SubsetsSelected::decode(r)?;
-        let items = cpm_count(&stage) as u64;
-        if shard.hi > items {
+        let stage = match r.u8()? {
+            0 => None,
+            1 => {
+                let stage = SubsetsSelected::decode(r)?;
+                shard.check_within(&stage)?;
+                Some(stage)
+            }
+            tag => return Err(CodecError::InvalidTag { what: "ShardRequest stage presence", tag }),
+        };
+        Ok(Self { shard, priority, stage })
+    }
+}
+
+impl Shard {
+    /// Checks that the range lies inside `stage`'s work list: a request can
+    /// only name work its stage contains. Decoding runs it against an
+    /// inline stage; a worker runs it against the stage it holds for a
+    /// by-reference request, before the shard reaches [`execute_shard`].
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::InvalidValue`] naming the range and the work-list
+    /// length.
+    pub fn check_within(&self, stage: &SubsetsSelected) -> Result<(), CodecError> {
+        let items = cpm_count(stage) as u64;
+        if self.hi > items {
             return Err(CodecError::InvalidValue {
                 what: "ShardRequest",
                 detail: format!(
                     "shard range {}..{} exceeds the {items}-item work list",
-                    shard.lo, shard.hi
+                    self.lo, self.hi
                 ),
             });
         }
-        Ok(Self { stage, shard, priority })
+        Ok(())
     }
 }
 
@@ -248,7 +271,8 @@ fn cpm_count(stage: &SubsetsSelected) -> usize {
 /// # Panics
 ///
 /// Panics if the shard range is empty or exceeds the stage's work list;
-/// decoded requests are pre-validated, so this indicates driver misuse.
+/// a worker range-checks every request ([`Shard::check_within`]) before it
+/// runs, so this indicates driver misuse.
 #[must_use]
 pub fn execute_shard(stage: &SubsetsSelected, shard: &Shard) -> ShardPartial {
     let work = stage.cpm_work();

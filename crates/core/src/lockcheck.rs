@@ -2,9 +2,9 @@
 //! runtime acquisition-order checker.
 //!
 //! Every mutex in the pipeline's concurrent surfaces (`sched`,
-//! `telemetry`, and the server's connection queue and stage cache) is a
-//! [`Mutex`] from this module, constructed with a stable name. The
-//! workspace declares a total acquisition order over those names
+//! `telemetry`, and the server's connection queue, stage store and stage
+//! cache) is a [`Mutex`] from this module, constructed with a stable name.
+//! The workspace declares a total acquisition order over those names
 //! (ascending rank — see `docs/ANALYSIS.md` and the static table in
 //! `jigsaw-analyze`):
 //!
@@ -12,6 +12,7 @@
 //! |-----:|------|
 //! | 5 | `dist.queue` |
 //! | 10 | `server.conn_queue` |
+//! | 15 | `server.stage_store` |
 //! | 20 | `cache.inner` |
 //! | 30 | `sched.state` |
 //! | 40 | `sched.cell.slot` |

@@ -126,10 +126,12 @@ impl Client {
         }
     }
 
-    /// Submits one distributed-sweep shard and decodes the worker's
-    /// partial. The caller (normally the sweep driver in
-    /// `crate::dist`) is responsible for merging partials in shard-index
-    /// order.
+    /// Submits one distributed-sweep shard of the stage whose config digest
+    /// is `digest` and decodes the worker's partial. The request carries the
+    /// stage inline or names it by `digest` alone; the caller (normally
+    /// [`RemoteRunner`](crate::dist::RemoteRunner)) resends inline on
+    /// [`ErrorCode::StageMissing`](crate::protocol::ErrorCode::StageMissing)
+    /// and merges partials in shard-index order.
     ///
     /// # Errors
     ///
@@ -138,9 +140,10 @@ impl Client {
     /// including [`ClientError::Closed`] when the worker dies mid-shard.
     pub fn submit_shard<S: std::borrow::Borrow<jigsaw_core::pipeline::SubsetsSelected>>(
         &mut self,
+        digest: u64,
         request: &jigsaw_core::dist::ShardRequest<S>,
     ) -> Result<jigsaw_pmf::ShardPartial, ClientError> {
-        Frame::submit_shard(request).write_to(&mut self.stream)?;
+        Frame::submit_shard(digest, request).write_to(&mut self.stream)?;
         let reply = self.expect_frame()?;
         match reply.kind {
             FrameKind::ShardResult => {

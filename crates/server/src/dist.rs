@@ -1,12 +1,21 @@
 //! The wire side of distributed CPM sweeps: a [`ShardRunner`] that ships
-//! shards to remote worker processes over the v3 shard frames.
+//! shards to remote worker processes over the protocol's shard frames
+//! (`docs/FORMAT.md` §7).
 //!
 //! `jigsaw_core::dist` owns the sweep algebra — planning, retry, merge —
 //! against an abstract [`ShardRunner`]. This module supplies the runner
 //! that crosses a process boundary: [`RemoteRunner`] connects to one
-//! worker address per shard, frames the checkpointed stage as a
-//! `SubmitShard`, and decodes the worker's `ShardResult` back into the
-//! [`ShardPartial`] the driver merges.
+//! worker address per shard, sends a `SubmitShard` that names the
+//! checkpointed stage by its config digest, and decodes the worker's
+//! `ShardResult` back into the [`ShardPartial`] the driver merges.
+//!
+//! A worker keeps the stages it has been sent, so a sweep ships its stage
+//! once per worker, not once per shard. When the worker does not hold the
+//! stage (first contact, a restarted worker, an evicted stage) it answers
+//! with the typed [`ErrorCode::StageMissing`], and the runner resends that
+//! shard with the stage inline, once, on the same connection. The driver
+//! keeps no record of which worker holds what, and a miss is neither a
+//! failed attempt nor a retry.
 //!
 //! Connecting per shard (rather than holding one long-lived stream) is a
 //! deliberate fault-tolerance choice: a worker killed mid-shard surfaces
@@ -25,7 +34,8 @@ use jigsaw_core::sched::Priority;
 use jigsaw_core::JigsawResult;
 use jigsaw_pmf::ShardPartial;
 
-use crate::client::Client;
+use crate::client::{Client, ClientError};
+use crate::protocol::ErrorCode;
 
 /// A [`ShardRunner`] that executes shards on a remote worker process.
 ///
@@ -54,10 +64,16 @@ impl ShardRunner for RemoteRunner {
     ) -> Result<ShardPartial, String> {
         let mut client = Client::connect(self.addr)
             .map_err(|e| format!("worker {} unreachable: {e}", self.addr))?;
-        let request = ShardRequest { stage, shard: *shard, priority };
-        client
-            .submit_shard(&request)
-            .map_err(|e| format!("worker {} failed shard {}: {e}", self.addr, shard.index))
+        let digest = stage.config_digest();
+        let mut request = ShardRequest { shard: *shard, priority, stage: None };
+        let reply = match client.submit_shard(digest, &request) {
+            Err(ClientError::Rejected(r)) if r.code == ErrorCode::StageMissing => {
+                request.stage = Some(stage);
+                client.submit_shard(digest, &request)
+            }
+            reply => reply,
+        };
+        reply.map_err(|e| format!("worker {} failed shard {}: {e}", self.addr, shard.index))
     }
 }
 

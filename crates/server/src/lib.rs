@@ -23,8 +23,9 @@
 //!   and fuzz test batteries drive.
 //! * [`dist`] — the wire side of distributed CPM sweeps: shards of a
 //!   checkpointed `SubsetsSelected` scatter to worker processes as shard
-//!   frames and merge back bit-identically (`jigsaw_core::dist` owns the
-//!   planning/retry/merge algebra).
+//!   frames that name the stage by digest (each worker keeps the stages it
+//!   has been sent) and merge back bit-identically (`jigsaw_core::dist`
+//!   owns the planning/retry/merge algebra).
 //!
 //! Responses are bit-identical to a solo `jigsaw_core::run_jigsaw` call:
 //! the server runs the same staged pipeline, stage replay is deterministic

@@ -10,7 +10,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  89 4A 53 4A 0D 0A 1A 0A   ("\x89JSJ\r\n\x1a\n")
-//! 8       2     protocol version (u16 LE, currently 5)
+//! 8       2     protocol version (u16 LE, currently 6)
 //! 10      1     frame kind tag (see FrameKind)
 //! 11      8     config digest (u64 LE; 0 where not applicable)
 //! 19      8     payload length N (u64 LE, at most 2^28)
@@ -29,7 +29,10 @@
 //! its payload: the server re-derives [`config_digest`] from the decoded
 //! request and refuses the frame when the two disagree
 //! ([`ProtocolError::DigestMismatch`]), so a cache key can never be spoofed
-//! onto a different job.
+//! onto a different job. A [`SubmitShard`](FrameKind::SubmitShard) frame's
+//! digest names its stage: an inline stage is bound to it the same way, and
+//! a by-reference shard is resolved by it against the stages the worker
+//! already holds.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -69,8 +72,12 @@ pub const MAGIC: [u8; 8] = *b"\x89JSJ\r\n\x1a\x0a";
 /// version 2); a v3 peer is refused the same typed way. v5: the
 /// [`ShardResult`](FrameKind::ShardResult) payload dropped the `u64`
 /// compile count that followed its range (the run's `run-cpms` stage
-/// record is the one count); a v4 peer is refused the same typed way.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// record is the one count); a v4 peer is refused the same typed way. v6:
+/// the [`SubmitShard`](FrameKind::SubmitShard) payload grew a presence byte
+/// after its priority, so a shard names its stage by the frame digest and
+/// ships it inline only when the worker answers
+/// [`ErrorCode::StageMissing`]; a v5 peer is refused the same typed way.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// The frame's envelope format.
 const FRAME: Envelope = Envelope { magic: MAGIC, version: PROTOCOL_VERSION };
@@ -93,8 +100,8 @@ pub enum FrameKind {
     Shutdown,
     /// Server → client: empty payload; shutdown acknowledged.
     ShutdownAck,
-    /// Driver → worker: a [`ShardRequest`] payload; digest field must
-    /// equal the payload's [`config_digest`].
+    /// Driver → worker: a [`ShardRequest`] payload; the digest field names
+    /// the stage and must equal an inline stage's [`config_digest`].
     SubmitShard,
     /// Worker → driver: an encoded `ShardPartial` payload for the digest.
     ShardResult,
@@ -168,15 +175,16 @@ impl Frame {
         }
     }
 
-    /// Frames a [`ShardRequest`], binding the digest field to the payload
-    /// exactly like [`Self::submit`] does for jobs.
+    /// Frames a [`ShardRequest`] under `digest`, the config digest of the
+    /// stage it runs against: a by-reference request is resolved by it, and
+    /// an inline stage must re-derive it (the worker refuses the frame
+    /// otherwise, exactly like [`Self::submit`]'s binding for jobs).
     #[must_use]
-    pub fn submit_shard<S: Borrow<SubsetsSelected>>(request: &ShardRequest<S>) -> Self {
-        Self {
-            kind: FrameKind::SubmitShard,
-            digest: request.digest(),
-            payload: encode_to_vec(request),
-        }
+    pub fn submit_shard<S: Borrow<SubsetsSelected>>(
+        digest: u64,
+        request: &ShardRequest<S>,
+    ) -> Self {
+        Self { kind: FrameKind::SubmitShard, digest, payload: encode_to_vec(request) }
     }
 
     /// Serialises the frame: header, payload, trailing checksum over
@@ -404,6 +412,10 @@ pub enum ErrorCode {
     /// The server is at capacity — its connection queue or job scheduler
     /// is full. Nothing is wrong with the job; resubmit later.
     Overloaded,
+    /// A by-reference shard named a stage this worker does not hold (never
+    /// sent, evicted, or the worker restarted). Resend the shard with its
+    /// stage inline; the connection stays open.
+    StageMissing,
 }
 
 impl ErrorCode {
@@ -416,6 +428,7 @@ impl ErrorCode {
             Self::PlanRejected => 3,
             Self::ComputeFailed => 4,
             Self::Overloaded => 5,
+            Self::StageMissing => 6,
         }
     }
 
@@ -428,6 +441,7 @@ impl ErrorCode {
             3 => Some(Self::PlanRejected),
             4 => Some(Self::ComputeFailed),
             5 => Some(Self::Overloaded),
+            6 => Some(Self::StageMissing),
             _ => None,
         }
     }
@@ -485,15 +499,20 @@ pub fn decode_submit(frame: &Frame) -> Result<JobRequest, ProtocolError> {
 }
 
 /// Decodes a [`FrameKind::SubmitShard`] payload and enforces the digest
-/// binding: the frame's digest field must equal the persist digest the
-/// decoded stage re-derives, the same contract as [`decode_submit`].
+/// binding on an inline stage: the frame's digest field must equal the
+/// persist digest the decoded stage re-derives, the same contract as
+/// [`decode_submit`]. A by-reference request decodes without a stage; the
+/// worker resolves the digest and range-checks the shard against the stage
+/// it holds.
 ///
 /// # Errors
 ///
 /// [`ProtocolError::Codec`] for a payload that fails structural
 /// validation and [`ProtocolError::DigestMismatch`] for a digest lie.
 pub fn decode_shard(frame: &Frame) -> Result<ShardRequest, ProtocolError> {
-    envelope::decode_bound(frame.digest, &frame.payload, ShardRequest::digest)
+    envelope::decode_bound(frame.digest, &frame.payload, |request: &ShardRequest| {
+        request.stage.as_ref().map_or(frame.digest, SubsetsSelected::config_digest)
+    })
 }
 
 #[cfg(test)]
@@ -501,7 +520,6 @@ mod tests {
     use super::*;
     use jigsaw_circuit::bench;
     use jigsaw_core::persist::{self, PersistError};
-    use jigsaw_core::pipeline::SubsetsSelected;
     use jigsaw_device::Device;
     use jigsaw_pmf::codec::decode_from_slice;
     use jigsaw_pmf::envelope::EnvelopeError;
@@ -595,7 +613,7 @@ mod tests {
         }
         // Archives share the envelope, so the same holds for them: every
         // flip is refused by an envelope check, before any stage decode.
-        let archive = persist::to_bytes(&sample_shard_request().stage);
+        let archive = persist::to_bytes(&sample_stage());
         for offset in 8..archive.len() {
             let mut bad = archive.clone();
             bad[offset] ^= 0x01;
@@ -623,27 +641,31 @@ mod tests {
         assert!(matches!(err, CodecError::InvalidTag { what: "Priority", .. }));
     }
 
-    fn sample_shard_request() -> ShardRequest {
+    fn sample_stage() -> SubsetsSelected {
         let config = JigsawConfig::jigsaw(512).without_recompilation();
-        let stage = jigsaw_core::pipeline::JigsawPipeline::plan(
+        jigsaw_core::pipeline::JigsawPipeline::plan(
             bench::ghz(4).circuit(),
             &Device::toronto(),
             &config,
         )
         .compile_global()
         .run_global()
-        .select_subsets();
+        .select_subsets()
+    }
+
+    fn sample_shard_request() -> ShardRequest {
         ShardRequest {
-            stage,
             shard: jigsaw_core::dist::Shard { index: 0, lo: 0, hi: 2 },
             priority: Priority::Sweep,
+            stage: Some(sample_stage()),
         }
     }
 
     #[test]
     fn shard_frames_round_trip_under_digest_binding() {
         let request = sample_shard_request();
-        let frame = Frame::submit_shard(&request);
+        let digest = sample_stage().config_digest();
+        let frame = Frame::submit_shard(digest, &request);
         assert_eq!(frame.kind, FrameKind::SubmitShard);
         let reparsed = Frame::from_bytes(&frame.to_bytes()).expect("parses");
         let decoded = decode_shard(&reparsed).expect("bound");
@@ -656,11 +678,29 @@ mod tests {
         let reparsed = Frame::from_bytes(&tampered.to_bytes()).expect("valid frame shape");
         match decode_shard(&reparsed) {
             Err(ProtocolError::DigestMismatch { claimed, computed }) => {
-                assert_eq!(claimed, request.digest() ^ 1);
-                assert_eq!(computed, request.digest());
+                assert_eq!(claimed, digest ^ 1);
+                assert_eq!(computed, digest);
             }
             other => panic!("expected DigestMismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn by_reference_shards_carry_only_range_lane_and_presence() {
+        let request = ShardRequest::<SubsetsSelected> { stage: None, ..sample_shard_request() };
+        let frame = Frame::submit_shard(0xABCD, &request);
+        // Shard descriptor (3 × u64), priority byte, presence byte `0`.
+        assert_eq!(frame.payload.len(), 26);
+        assert_eq!(frame.payload.last(), Some(&0));
+        let decoded = decode_shard(&Frame::from_bytes(&frame.to_bytes()).expect("parses"))
+            .expect("a by-reference shard has no stage to bind");
+        assert!(decoded.stage.is_none());
+        assert_eq!(decoded.shard, request.shard);
+
+        let mut bytes = frame.payload;
+        *bytes.last_mut().expect("non-empty") = 2;
+        let err = decode_from_slice::<ShardRequest>(&bytes).expect_err("bad presence");
+        assert!(matches!(err, CodecError::InvalidTag { what: "ShardRequest stage presence", .. }));
     }
 
     #[test]
@@ -669,13 +709,18 @@ mod tests {
         request.shard.hi = 10_000;
         let err = decode_from_slice::<ShardRequest>(&encode_to_vec(&request)).expect_err("range");
         assert!(matches!(err, CodecError::InvalidValue { what: "ShardRequest", .. }), "{err:?}");
+        let stage = sample_stage();
+        let err = request.shard.check_within(&stage).expect_err("range against a held stage");
+        assert!(matches!(err, CodecError::InvalidValue { what: "ShardRequest", .. }), "{err:?}");
     }
 
     #[test]
     fn rejection_payloads_round_trip() {
-        let rejection = JobRejection::new(ErrorCode::PlanRejected, "no fitting subset size");
-        let bytes = encode_to_vec(&rejection);
-        assert_eq!(decode_from_slice::<JobRejection>(&bytes).expect("decodes"), rejection);
+        for code in [ErrorCode::PlanRejected, ErrorCode::StageMissing] {
+            let rejection = JobRejection::new(code, "no fitting subset size");
+            let bytes = encode_to_vec(&rejection);
+            assert_eq!(decode_from_slice::<JobRejection>(&bytes).expect("decodes"), rejection);
+        }
         let err = decode_from_slice::<JobRejection>(&[0xFF]).expect_err("bad tag");
         assert!(matches!(err, CodecError::InvalidTag { what: "ErrorCode", .. }));
     }

@@ -22,11 +22,16 @@
 //! thread count and the encoded `JigsawResult` excludes wall clocks —
 //! regardless of lane or interleaving.
 //!
-//! Serving counters — jobs, overload refusals and the cache's outcomes —
-//! live in a [`Registry`] the server owns, so two servers in one process
-//! never share a count. The metrics frame renders that registry, then
-//! [`telemetry::global`] with the scheduler, stage and distributed-sweep
-//! families.
+//! A worker keeps the sweep stages shards run against in a small store
+//! keyed by config digest ([`STAGE_STORE_CAPACITY`] entries, least recently
+//! used evicted first), so a driver ships each stage once per worker and
+//! names it by digest after that (protocol v6, `docs/FORMAT.md` §7).
+//!
+//! Serving counters — jobs, overload refusals, the cache's outcomes and
+//! the stage store's misses and stores — live in a [`Registry`] the server
+//! owns, so two servers in one process never share a count. The metrics
+//! frame renders that registry, then [`telemetry::global`] with the
+//! scheduler, stage and distributed-sweep families.
 //!
 //! Shutdown is cooperative: a [`FrameKind::Shutdown`] frame (or
 //! [`ServerHandle::shutdown`]) raises a flag, a self-connection unblocks
@@ -43,9 +48,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use jigsaw_core::dist::ShardRequest;
+use jigsaw_core::dist::Shard;
 use jigsaw_core::lockcheck::{Condvar, Mutex};
-use jigsaw_core::sched::{JobError, SchedConfig, Scheduler};
+use jigsaw_core::pipeline::SubsetsSelected;
+use jigsaw_core::sched::{JobError, Priority, SchedConfig, Scheduler};
 use jigsaw_core::telemetry::{self, Counter, Registry};
 use jigsaw_pmf::codec::encode_to_vec;
 use jigsaw_pmf::ShardPartial;
@@ -58,6 +64,11 @@ use crate::protocol::{
 
 /// How often an idle handler re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Sweep stages a server holds for by-reference shards. A sweep driver
+/// works through one stage at a time, so a few entries cover concurrent
+/// drivers; a stage evicted early costs one inline resend.
+pub const STAGE_STORE_CAPACITY: usize = 4;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -161,6 +172,41 @@ impl ConnQueue {
     }
 }
 
+/// The decoded sweep stages by-reference shards run against, keyed by
+/// config digest, most recently used last. An inline stage was bound to its
+/// digest when its frame decoded, so a stored entry is trusted exactly as
+/// far as that binding.
+struct StageStore {
+    stages: Mutex<VecDeque<(u64, Arc<SubsetsSelected>)>>,
+}
+
+impl StageStore {
+    fn new() -> Self {
+        Self { stages: Mutex::new("server.stage_store", VecDeque::new()) }
+    }
+
+    /// Stores (or refreshes) `stage` under `digest`, evicting the least
+    /// recently used entry beyond [`STAGE_STORE_CAPACITY`].
+    fn insert(&self, digest: u64, stage: Arc<SubsetsSelected>) {
+        let mut stages = self.stages.lock();
+        stages.retain(|(held, _)| *held != digest);
+        stages.push_back((digest, stage));
+        while stages.len() > STAGE_STORE_CAPACITY {
+            stages.pop_front();
+        }
+    }
+
+    /// The stage held under `digest`, marked most recently used.
+    fn get(&self, digest: u64) -> Option<Arc<SubsetsSelected>> {
+        let mut stages = self.stages.lock();
+        let at = stages.iter().position(|(held, _)| *held == digest)?;
+        let entry = stages.remove(at)?;
+        let stage = Arc::clone(&entry.1);
+        stages.push_back(entry);
+        Some(stage)
+    }
+}
+
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -224,6 +270,10 @@ struct ServerMetrics {
     registry: Arc<Registry>,
     jobs: Counter,
     refused: Counter,
+    /// By-reference shards answered [`ErrorCode::StageMissing`].
+    stage_misses: Counter,
+    /// Inline stages stored for later by-reference shards.
+    stages_stored: Counter,
 }
 
 impl ServerMetrics {
@@ -231,6 +281,8 @@ impl ServerMetrics {
         Self {
             jobs: registry.counter("jigsaw_server_jobs_total", &[]),
             refused: registry.counter("jigsaw_server_overloaded_total", &[]),
+            stage_misses: registry.counter("jigsaw_server_shard_stage_misses_total", &[]),
+            stages_stored: registry.counter("jigsaw_server_shard_stages_stored_total", &[]),
             registry,
         }
     }
@@ -246,6 +298,7 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let registry = Arc::new(Registry::default());
     let cache = Arc::new(StageCache::new(config.capacity, &config.spill_dir, &registry)?);
+    let stages = Arc::new(StageStore::new());
     let scheduler = Arc::new(Scheduler::new(config.sched.clone()));
     let shutdown = Arc::new(AtomicBool::new(false));
     let conns = Arc::new(ConnQueue::new(config.queue_depth));
@@ -280,11 +333,14 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
             let shutdown = Arc::clone(&shutdown);
             let conns = Arc::clone(&conns);
             let cache = Arc::clone(&cache);
+            let stages = Arc::clone(&stages);
             let scheduler = Arc::clone(&scheduler);
             let metrics = metrics.clone();
             std::thread::spawn(move || {
                 while let Some(stream) = conns.pop(&shutdown) {
-                    handle_connection(stream, &cache, &scheduler, &shutdown, &metrics, addr);
+                    handle_connection(
+                        stream, &cache, &stages, &scheduler, &shutdown, &metrics, addr,
+                    );
                 }
             })
         })
@@ -324,6 +380,7 @@ fn decode_refusal(error: &ProtocolError) -> JobRejection {
 fn handle_connection(
     mut stream: TcpStream,
     cache: &StageCache,
+    stages: &StageStore,
     scheduler: &Scheduler,
     shutdown: &Arc<AtomicBool>,
     metrics: &ServerMetrics,
@@ -346,7 +403,7 @@ fn handle_connection(
         };
         let keep_going = match frame.kind {
             FrameKind::SubmitJob => handle_submit(&mut stream, &frame, cache, scheduler, metrics),
-            FrameKind::SubmitShard => handle_shard(&mut stream, &frame, scheduler),
+            FrameKind::SubmitShard => handle_shard(&mut stream, &frame, stages, scheduler, metrics),
             FrameKind::MetricsRequest => {
                 let mut text = metrics.registry.render_text();
                 text.push_str(&telemetry::global().render_text());
@@ -403,45 +460,83 @@ fn handle_submit(
     }
 }
 
-/// Resolves one shard submission through the scheduler's priority lanes
-/// and writes the reply frame. Returns whether the connection should stay
-/// open.
+/// Resolves one shard submission's stage, runs the shard through the
+/// scheduler's priority lanes and writes the reply frame. Returns whether
+/// the connection should stay open.
 ///
-/// Shards are *not* routed through the stage cache: a sweep driver never
-/// re-asks for a shard it already holds, and a shard retried after a worker
-/// dies lands on a *different* worker, whose cache could not hold it.
-fn handle_shard(stream: &mut TcpStream, frame: &Frame, scheduler: &Scheduler) -> bool {
+/// The *stage* is kept per worker (the stage store), so a sweep ships it
+/// once per worker. The *partial* is not cached: a driver asks for a shard
+/// twice only after a by-reference miss, which computed nothing, and a
+/// shard retried after a worker dies lands on a different worker, whose
+/// cache could not hold it. The miss is answered [`ErrorCode::StageMissing`]
+/// on an open connection and counts as neither a served nor a failed shard.
+fn handle_shard(
+    stream: &mut TcpStream,
+    frame: &Frame,
+    stages: &StageStore,
+    scheduler: &Scheduler,
+    metrics: &ServerMetrics,
+) -> bool {
     let digest = frame.digest;
-    let request = match decode_shard(frame) {
-        Ok(request) => request,
-        Err(error) => {
-            telemetry::dist_shards("error").inc();
-            return reply_rejection(stream, FrameKind::ShardError, digest, &decode_refusal(&error));
-        }
-    };
-    match compute_shard(scheduler, request) {
+    let outcome = decode_shard(frame).map_err(|error| decode_refusal(&error)).and_then(|request| {
+        let stage = resolve_stage(digest, request.stage, &request.shard, stages, metrics)?;
+        compute_shard(scheduler, stage, request.shard, request.priority)
+    });
+    match outcome {
         Ok(partial) => {
             telemetry::dist_shards("ok").inc();
             write_frame(stream, FrameKind::ShardResult, digest, &encode_to_vec(&partial)).is_ok()
         }
         Err(rejection) => {
-            telemetry::dist_shards("error").inc();
+            if rejection.code != ErrorCode::StageMissing {
+                telemetry::dist_shards("error").inc();
+            }
             reply_rejection(stream, FrameKind::ShardError, digest, &rejection)
         }
     }
 }
 
-/// Submits one decoded shard to the stage scheduler in its priority lane
+/// The stage a decoded shard runs against. An inline stage, already bound
+/// to `digest` and range-checked by [`decode_shard`], is stored; a
+/// by-reference shard takes the held stage and is range-checked here, so an
+/// untrusted range is refused as malformed before any compute.
+fn resolve_stage(
+    digest: u64,
+    inline: Option<SubsetsSelected>,
+    shard: &Shard,
+    stages: &StageStore,
+    metrics: &ServerMetrics,
+) -> Result<Arc<SubsetsSelected>, JobRejection> {
+    if let Some(stage) = inline {
+        let stage = Arc::new(stage);
+        stages.insert(digest, Arc::clone(&stage));
+        metrics.stages_stored.inc();
+        return Ok(stage);
+    }
+    let Some(stage) = stages.get(digest) else {
+        metrics.stage_misses.inc();
+        return Err(JobRejection::new(
+            ErrorCode::StageMissing,
+            format!("no stage held for digest {digest:016x}; resend it inline"),
+        ));
+    };
+    shard
+        .check_within(&stage)
+        .map_err(|e| JobRejection::new(ErrorCode::Malformed, e.to_string()))?;
+    Ok(stage)
+}
+
+/// Submits one resolved shard to the stage scheduler in its priority lane
 /// and waits for the partial. The partial's bytes are what
 /// `dist::execute_shard` produces in-process — per-CPM seeds are pinned
 /// by index, so which worker runs the shard never shows in the result.
 fn compute_shard(
     scheduler: &Scheduler,
-    request: ShardRequest,
+    stage: Arc<SubsetsSelected>,
+    shard: Shard,
+    priority: Priority,
 ) -> Result<ShardPartial, JobRejection> {
-    let ticket = scheduler
-        .submit_shard(Arc::new(request.stage), request.shard, request.priority)
-        .map_err(|e| reject_job(&e))?;
+    let ticket = scheduler.submit_shard(stage, shard, priority).map_err(|e| reject_job(&e))?;
     ticket.wait().map_err(|e| reject_job(&e))
 }
 

@@ -118,11 +118,11 @@ fn real_worker_answers_each_shard_and_counts_it() {
     let mut client = Client::connect(addr).expect("connect");
     for shard in plan_shards(cpm_count(&stage), 3) {
         let request = jigsaw_repro::core::dist::ShardRequest {
-            stage: stage.clone(),
             shard,
             priority: jigsaw_repro::core::sched::Priority::Sweep,
+            stage: Some(&stage),
         };
-        let partial = client.submit_shard(&request).expect("shard served");
+        let partial = client.submit_shard(stage.config_digest(), &request).expect("shard served");
         assert_eq!(partial.shard_index, shard.index);
     }
     // The worker's metrics frame exposes the sweep counters it fed.
@@ -132,6 +132,58 @@ fn real_worker_answers_each_shard_and_counts_it() {
         "worker metrics missing shard counter:\n{metrics}"
     );
     stop_worker_process(child, addr);
+}
+
+/// One counter from a worker's metrics frame (0 when not yet rendered).
+fn worker_counter(addr: SocketAddr, name: &str) -> u64 {
+    let text = Client::connect(addr).expect("connect").metrics().expect("metrics frame");
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Each worker's (stage misses, inline stages stored) so far.
+fn stage_traffic(addrs: &[SocketAddr]) -> Vec<(u64, u64)> {
+    addrs
+        .iter()
+        .map(|&addr| {
+            (
+                worker_counter(addr, "jigsaw_server_shard_stage_misses_total"),
+                worker_counter(addr, "jigsaw_server_shard_stages_stored_total"),
+            )
+        })
+        .collect()
+}
+
+/// The stage crosses the wire once per worker, not once per shard: against
+/// two real worker processes the first sweep stores it at most once on
+/// each (every store answering a miss), an identical second sweep misses
+/// nothing and ships no stage, and both sweeps merge to the solo bytes.
+#[test]
+fn a_repeated_sweep_ships_its_stage_once_per_worker() {
+    let solo = solo_bytes(43);
+    let stage = sweep_stage(43);
+    let workers: Vec<_> = (0..2).map(|_| spawn_worker_process()).collect();
+    let addrs: Vec<SocketAddr> = workers.iter().map(|&(_, addr)| addr).collect();
+    let config = DistConfig::default().with_shard_size(2);
+    assert!(cpm_count(&stage) > 2 * addrs.len(), "the sweep needs several shards per worker");
+
+    let first = run_distributed(&stage, &addrs, &config).expect("first sweep");
+    let after_first = stage_traffic(&addrs);
+    let second = run_distributed(&stage, &addrs, &config).expect("second sweep");
+    let after_second = stage_traffic(&addrs);
+
+    for (child, addr) in workers {
+        stop_worker_process(child, addr);
+    }
+    assert_eq!(encode_to_vec(&first), solo, "first sweep diverged from solo");
+    assert_eq!(encode_to_vec(&second), solo, "second sweep diverged from solo");
+    assert!(after_first.iter().any(|&(_, stored)| stored == 1), "no worker got the stage");
+    for (worker, &(misses, stored)) in after_first.iter().enumerate() {
+        assert!(stored <= 1, "worker {worker} stored the stage {stored} times in one sweep");
+        assert_eq!(misses, stored, "worker {worker}: each inline stage must answer one miss");
+    }
+    assert_eq!(after_second, after_first, "a sweep of a held stage must miss and ship nothing");
 }
 
 proptest! {

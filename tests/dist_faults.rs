@@ -15,9 +15,16 @@
 //!   by shard index and sorts, so the merged bytes are delivery-free.
 //! * **Exhausted retries, dead fleets, wedged workers** — typed
 //!   `ShardFailed` / `NoWorkers` / watchdog `Timeout`, promptly.
+//! * **A worker without the stage** — restarted, or with the stage evicted
+//!   from its store — answers the by-reference shard `StageMissing`; the
+//!   runner resends that shard inline once, and the miss costs the driver
+//!   no attempt, no retry and no failed shard.
 
-use std::net::TcpListener;
+use std::io::BufRead;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jigsaw_repro::circuit::bench;
@@ -27,12 +34,13 @@ use jigsaw_repro::core::dist::{
 };
 use jigsaw_repro::core::pipeline::{JigsawPipeline, SubsetsSelected};
 use jigsaw_repro::core::sched::Priority;
-use jigsaw_repro::core::{run_jigsaw, JigsawConfig};
+use jigsaw_repro::core::{run_jigsaw, JigsawConfig, JigsawResult};
 use jigsaw_repro::device::Device;
 use jigsaw_repro::pmf::codec::encode_to_vec;
 use jigsaw_repro::pmf::ShardPartial;
 use jigsaw_repro::server::protocol::{Frame, FrameKind};
-use jigsaw_repro::server::{serve, RemoteRunner, ServerConfig};
+use jigsaw_repro::server::server::STAGE_STORE_CAPACITY;
+use jigsaw_repro::server::{serve, Client, RemoteRunner, ServerConfig};
 
 fn sweep_inputs(seed: u64) -> (jigsaw_repro::circuit::Circuit, Device, JigsawConfig) {
     let mut config = JigsawConfig::jigsaw(1_200).without_recompilation().with_seed(seed);
@@ -297,4 +305,133 @@ fn a_sweep_still_making_progress_does_not_trip_the_watchdog() {
         });
         assert_eq!(encode_to_vec(&merged), solo, "{shard_size}-CPM shards diverged from solo");
     }
+}
+
+/// A remote runner that tallies the driver's attempts and failed attempts.
+struct Counted {
+    inner: RemoteRunner,
+    attempts: Arc<AtomicUsize>,
+    failures: Arc<AtomicUsize>,
+}
+
+impl ShardRunner for Counted {
+    fn run_shard(
+        &mut self,
+        stage: &SubsetsSelected,
+        shard: &Shard,
+        priority: Priority,
+    ) -> Result<ShardPartial, String> {
+        self.attempts.fetch_add(1, Ordering::SeqCst);
+        let out = self.inner.run_shard(stage, shard, priority);
+        if out.is_err() {
+            self.failures.fetch_add(1, Ordering::SeqCst);
+        }
+        out
+    }
+}
+
+/// One sweep of `stage` on the worker at `addr`, in 2-CPM shards. Returns
+/// the merged result and the driver's (attempts, failed attempts).
+fn counted_sweep(stage: &SubsetsSelected, addr: SocketAddr) -> (JigsawResult, usize, usize) {
+    let attempts = Arc::new(AtomicUsize::new(0));
+    let failures = Arc::new(AtomicUsize::new(0));
+    let runner = Counted {
+        inner: RemoteRunner::new(addr),
+        attempts: Arc::clone(&attempts),
+        failures: Arc::clone(&failures),
+    };
+    let merged =
+        run_sharded(stage, vec![Box::new(runner)], &DistConfig::default().with_shard_size(2))
+            .expect("sweep");
+    (merged, attempts.load(Ordering::SeqCst), failures.load(Ordering::SeqCst))
+}
+
+/// One counter from a worker's metrics frame (0 when not yet rendered).
+fn worker_counter(addr: SocketAddr, series: &str) -> u64 {
+    let text = Client::connect(addr).expect("connect").metrics().expect("metrics frame");
+    text.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
+const MISSES: &str = "jigsaw_server_shard_stage_misses_total";
+const STORED: &str = "jigsaw_server_shard_stages_stored_total";
+
+/// Spawns one real `jigsaw-worker` process and parses its `PORT=` line.
+fn spawn_worker_process() -> (std::process::Child, SocketAddr) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_jigsaw-worker"))
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn jigsaw-worker");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut line = String::new();
+    std::io::BufReader::new(stdout).read_line(&mut line).expect("worker PORT line");
+    let port: u16 = line
+        .trim()
+        .strip_prefix("PORT=")
+        .and_then(|p| p.parse().ok())
+        .unwrap_or_else(|| panic!("worker printed {line:?}, expected PORT=<n>"));
+    (child, SocketAddr::from(([127, 0, 0, 1], port)))
+}
+
+/// A worker process restarted between two sweeps has an empty store: each
+/// sweep's first shard misses, the runner resends it inline once, and the
+/// rest run by reference. The worker counts no failed shard, the driver
+/// charges no extra attempt and no failure, and both sweeps merge to the
+/// solo bytes. The driver keeps no per-worker state, so a restart at a new
+/// port is the same case as one at the old port.
+#[test]
+fn a_restarted_worker_gets_the_stage_resent_once_with_identical_bytes() {
+    let solo = solo_bytes(31);
+    let stage = sweep_stage(31);
+    let shards = plan_shards(cpm_count(&stage), 2).len() as u64;
+    for life in 0..2 {
+        let (mut child, addr) = spawn_worker_process();
+        let (merged, attempts, failures) = counted_sweep(&stage, addr);
+        let traffic = (worker_counter(addr, MISSES), worker_counter(addr, STORED));
+        let served = worker_counter(addr, "jigsaw_dist_shards_total{outcome=\"ok\"}");
+        let failed = worker_counter(addr, "jigsaw_dist_shards_total{outcome=\"error\"}");
+        Client::connect(addr).expect("connect").shutdown_server().expect("shutdown acknowledged");
+        child.wait().expect("worker exits");
+
+        assert_eq!(encode_to_vec(&merged), solo, "worker life {life}: diverged from solo");
+        assert_eq!(traffic, (1, 1), "worker life {life}: one miss, one inline resend");
+        assert_eq!((served, failed), (shards, 0), "worker life {life}: a miss is no failed shard");
+        assert_eq!(
+            (attempts as u64, failures),
+            (shards, 0),
+            "worker life {life}: a miss is no driver attempt"
+        );
+    }
+}
+
+/// Pushing bound + 1 distinct stages through one worker evicts the first:
+/// sweeping it again misses once, resends it inline once, charges the
+/// driver nothing extra and merges to the solo bytes. A stage still held
+/// is swept without a miss.
+#[test]
+fn an_evicted_stage_is_resent_once_with_identical_bytes() {
+    let spill = std::env::temp_dir().join(format!("jigsaw-dist-evict-{}", std::process::id()));
+    let worker = serve(&ServerConfig::new(spill)).expect("bind worker");
+    let addr = worker.addr();
+    let seeds: Vec<u64> = (0..=STAGE_STORE_CAPACITY as u64).map(|i| 61 + i).collect();
+    let sweep = |seed: u64| {
+        let stage = sweep_stage(seed);
+        let shards = plan_shards(cpm_count(&stage), 2).len();
+        let before = (worker_counter(addr, MISSES), worker_counter(addr, STORED));
+        let (merged, attempts, failures) = counted_sweep(&stage, addr);
+        let after = (worker_counter(addr, MISSES), worker_counter(addr, STORED));
+        assert_eq!(encode_to_vec(&merged), solo_bytes(seed), "seed {seed}: diverged from solo");
+        assert_eq!((attempts, failures), (shards, 0), "seed {seed}: a miss is no driver attempt");
+        (after.0 - before.0, after.1 - before.1)
+    };
+
+    assert_eq!(sweep(seeds[0]), (1, 1), "first contact misses once");
+    assert_eq!(sweep(seeds[0]), (0, 0), "a held stage is never resent");
+    for &seed in &seeds[1..] {
+        assert_eq!(sweep(seed), (1, 1), "seed {seed}: a new stage misses once");
+    }
+    assert_eq!(sweep(seeds[0]), (1, 1), "the evicted stage misses once and is resent once");
+    assert_eq!(sweep(seeds[seeds.len() - 1]), (0, 0), "the newest stage is still held");
+    worker.shutdown();
 }

@@ -14,6 +14,9 @@
 //! frames (`SubmitShard`/`ShardResult`/`ShardError`); the battery covers
 //! them with the same strided corruption discipline, plus the version
 //! clash a previous-version peer produces against the current server.
+//! Protocol v6 lets a shard name its stage by digest; by-reference frames,
+//! stage-missing replies, unknown presence bytes and by-reference ranges
+//! past the held stage's work list must all be refused typed as well.
 
 use jigsaw_repro::circuit::bench;
 use jigsaw_repro::core::dist::{Shard, ShardRequest};
@@ -22,14 +25,23 @@ use jigsaw_repro::core::pipeline::{JigsawPipeline, SubsetsSelected};
 use jigsaw_repro::core::sched::Priority;
 use jigsaw_repro::core::{run_jigsaw, JigsawConfig};
 use jigsaw_repro::device::Device;
-use jigsaw_repro::pmf::codec::{encode_to_vec, fnv1a64};
-use jigsaw_repro::server::client::Client;
+use jigsaw_repro::pmf::codec::{decode_from_slice, encode_to_vec, fnv1a64, CodecError};
+use jigsaw_repro::server::client::{Client, ClientError};
 use jigsaw_repro::server::protocol::{
-    decode_shard, decode_submit, Frame, FrameKind, JobRequest, ProtocolError, HEADER_LEN, MAGIC,
-    PROTOCOL_VERSION,
+    decode_shard, decode_submit, Frame, FrameKind, JobRejection, JobRequest, ProtocolError,
+    HEADER_LEN, MAGIC, PROTOCOL_VERSION,
 };
 use jigsaw_repro::server::server::{serve, ServerConfig};
 use jigsaw_repro::server::ErrorCode;
+
+/// A fresh spill directory for one live server.
+fn spill_dir(name: &str) -> std::path::PathBuf {
+    let spill = std::env::temp_dir()
+        .join("jigsaw-server-fuzz-tests")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spill);
+    spill
+}
 
 fn sample_request() -> JobRequest {
     let mut config = JigsawConfig::jigsaw(1_000).without_recompilation().with_seed(5);
@@ -162,37 +174,62 @@ fn semantically_invalid_payloads_are_refused_under_valid_checksums() {
     }
 }
 
-/// A small but real shard request: the full staged pipeline down to
-/// `SubsetsSelected`, sharded.
-fn sample_shard_request() -> ShardRequest {
+/// A small but real sweep stage: the full staged pipeline down to
+/// `SubsetsSelected`.
+fn sample_stage() -> SubsetsSelected {
     let mut config = JigsawConfig::jigsaw(512).without_recompilation().with_seed(5);
     config.compiler.max_seeds = 3;
-    let stage = JigsawPipeline::plan(bench::ghz(4).circuit(), &Device::toronto(), &config)
+    JigsawPipeline::plan(bench::ghz(4).circuit(), &Device::toronto(), &config)
         .compile_global()
         .run_global()
-        .select_subsets();
-    ShardRequest { stage, shard: Shard { index: 0, lo: 0, hi: 2 }, priority: Priority::Sweep }
+        .select_subsets()
+}
+
+/// The sample stage's first shard, with the stage inline.
+fn sample_shard_request() -> ShardRequest {
+    ShardRequest {
+        shard: Shard { index: 0, lo: 0, hi: 2 },
+        priority: Priority::Sweep,
+        stage: Some(sample_stage()),
+    }
+}
+
+/// The same shard naming its stage by digest alone.
+fn by_reference(shard: Shard) -> ShardRequest {
+    ShardRequest { shard, priority: Priority::Sweep, stage: None }
+}
+
+/// Frames `request` under the sample stage's config digest.
+fn shard_frame(request: &ShardRequest) -> Frame {
+    Frame::submit_shard(sample_stage().config_digest(), request)
 }
 
 /// A real `ShardResult` frame: the partial a worker would return for the
 /// sample shard, framed the way the worker frames it.
 fn sample_shard_result_frame() -> Frame {
-    let request = sample_shard_request();
-    let partial = jigsaw_repro::core::dist::execute_shard(&request.stage, &request.shard);
+    let stage = sample_stage();
+    let partial = jigsaw_repro::core::dist::execute_shard(&stage, &sample_shard_request().shard);
     Frame {
         kind: FrameKind::ShardResult,
-        digest: request.digest(),
+        digest: stage.config_digest(),
         payload: encode_to_vec(&partial),
     }
 }
 
-/// The v3 `SubmitShard` frame inherits the whole corruption taxonomy:
-/// strided truncations are `Truncated`, strided flips never reach a
-/// valid digest-bound decode, and per-region corruption maps to the same
-/// variants the job frames pin.
-#[test]
-fn shard_request_frames_fail_typed_at_every_stride() {
-    let bytes = Frame::submit_shard(&sample_shard_request()).to_bytes();
+/// A real stage-missing `ShardError` frame, as a worker answers a
+/// by-reference shard whose stage it does not hold.
+fn stage_missing_frame() -> Frame {
+    let rejection = JobRejection::new(ErrorCode::StageMissing, "no stage held; resend it inline");
+    Frame {
+        kind: FrameKind::ShardError,
+        digest: sample_stage().config_digest(),
+        payload: encode_to_vec(&rejection),
+    }
+}
+
+/// Strided truncations of `bytes` are `Truncated`, and strided flips never
+/// reach a valid digest-bound shard decode.
+fn assert_shard_request_corruption_fails_typed(bytes: &[u8]) {
     for cut in stride_positions(bytes.len()) {
         let err = Frame::from_bytes(&bytes[..cut]).expect_err("truncation must not parse");
         assert!(
@@ -202,7 +239,7 @@ fn shard_request_frames_fail_typed_at_every_stride() {
     }
     for offset in stride_positions(bytes.len()) {
         for bit in [0x01u8, 0x80] {
-            let mut bad = bytes.clone();
+            let mut bad = bytes.to_vec();
             bad[offset] ^= bit;
             let outcome = Frame::from_bytes(&bad).and_then(|frame| decode_shard(&frame));
             assert!(
@@ -211,6 +248,108 @@ fn shard_request_frames_fail_typed_at_every_stride() {
             );
         }
     }
+}
+
+/// The `SubmitShard` frame inherits the whole corruption taxonomy, inline
+/// and by reference: strided truncations are `Truncated`, strided flips
+/// never reach a valid digest-bound decode, and per-region corruption maps
+/// to the same variants the job frames pin.
+#[test]
+fn shard_request_frames_fail_typed_at_every_stride() {
+    assert_shard_request_corruption_fails_typed(&shard_frame(&sample_shard_request()).to_bytes());
+    let by_ref = shard_frame(&by_reference(Shard { index: 3, lo: 0, hi: 2 })).to_bytes();
+    assert_shard_request_corruption_fails_typed(&by_ref);
+}
+
+/// A stage-missing reply survives the same battery: a corrupted one never
+/// parses, so a driver cannot mistake garbage for a request to resend.
+#[test]
+fn stage_missing_replies_fail_typed_at_every_stride() {
+    let bytes = stage_missing_frame().to_bytes();
+    let reply = Frame::from_bytes(&bytes).expect("intact reply parses");
+    let rejection: JobRejection = decode_from_slice(&reply.payload).expect("typed rejection");
+    assert_eq!(rejection.code, ErrorCode::StageMissing);
+    for cut in stride_positions(bytes.len()) {
+        let err = Frame::from_bytes(&bytes[..cut]).expect_err("truncation must not parse");
+        assert!(matches!(err, ProtocolError::Truncated { .. }), "cut at {cut} gave {err:?}");
+    }
+    for offset in stride_positions(bytes.len()) {
+        for bit in [0x01u8, 0x80] {
+            let mut bad = bytes.clone();
+            bad[offset] ^= bit;
+            assert!(Frame::from_bytes(&bad).is_err(), "flip {bit:#04x} at {offset} parsed");
+        }
+    }
+}
+
+/// A presence byte other than `0`/`1` is a typed codec refusal offline,
+/// and a live worker answers it `Malformed` without closing the
+/// connection.
+#[test]
+fn unknown_presence_byte_is_refused_typed() {
+    let mut frame = shard_frame(&by_reference(Shard { index: 0, lo: 0, hi: 2 }));
+    *frame.payload.last_mut().expect("presence byte") = 7;
+    let reparsed = Frame::from_bytes(&frame.to_bytes()).expect("frame shape is valid");
+    match decode_shard(&reparsed) {
+        Err(ProtocolError::Codec(CodecError::InvalidTag { what, tag: 7 })) => {
+            assert_eq!(what, "ShardRequest stage presence");
+        }
+        other => panic!("expected an InvalidTag refusal, got {other:?}"),
+    }
+
+    let handle = serve(&ServerConfig::new(spill_dir("presence"))).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.send_raw(&frame.to_bytes()).expect("write");
+    let reply = client.read_frame().expect("reply frame").expect("server replied");
+    assert_eq!(reply.kind, FrameKind::ShardError);
+    let rejection: JobRejection = decode_from_slice(&reply.payload).expect("typed rejection");
+    assert_eq!(rejection.code, ErrorCode::Malformed);
+    // Same connection: the worker still serves an inline shard.
+    let request = sample_shard_request();
+    let partial = client.submit_shard(sample_stage().config_digest(), &request).expect("served");
+    assert_eq!(partial.shard_index, request.shard.index);
+    handle.shutdown();
+}
+
+/// A by-reference shard is range-checked against the stage the worker
+/// holds before it can reach `execute_shard`'s assertion: past the work
+/// list it is refused `Malformed`, the worker survives, and an in-range
+/// by-reference shard on the same connection is served from the store.
+/// A by-reference shard the store cannot resolve is `StageMissing`.
+#[test]
+fn by_reference_ranges_are_checked_against_the_held_stage() {
+    let stage = sample_stage();
+    let digest = stage.config_digest();
+    let items: u64 = stage.layers().iter().map(|layer| layer.subsets.len() as u64).sum();
+    let handle = serve(&ServerConfig::new(spill_dir("by-ref-range"))).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    let missing = client
+        .submit_shard(digest, &by_reference(Shard { index: 0, lo: 0, hi: 2 }))
+        .expect_err("an empty store holds no stage");
+    assert!(
+        matches!(missing, ClientError::Rejected(ref r) if r.code == ErrorCode::StageMissing),
+        "{missing}"
+    );
+    client.submit_shard(digest, &sample_shard_request()).expect("inline shard stores the stage");
+
+    for shard in
+        [Shard { index: 1, lo: 0, hi: items + 1 }, Shard { index: 2, lo: items, hi: u64::MAX }]
+    {
+        let error = client
+            .submit_shard(digest, &by_reference(shard))
+            .expect_err("range past the work list");
+        assert!(
+            matches!(error, ClientError::Rejected(ref r) if r.code == ErrorCode::Malformed
+                && r.message.contains("work list")),
+            "{error}"
+        );
+    }
+    let shard = Shard { index: 4, lo: items - 1, hi: items };
+    let partial = client.submit_shard(digest, &by_reference(shard)).expect("held stage serves");
+    assert_eq!(partial.histograms.len(), 1);
+    assert_eq!(partial, jigsaw_repro::core::dist::execute_shard(&stage, &shard));
+    handle.shutdown();
 }
 
 /// `ShardResult` frames carried back from a worker survive the same
@@ -233,7 +372,7 @@ fn shard_result_frames_fail_typed_at_every_stride() {
 /// variant.
 #[test]
 fn shard_corruption_maps_to_the_right_variant_per_region() {
-    let good = Frame::submit_shard(&sample_shard_request()).to_bytes();
+    let good = shard_frame(&sample_shard_request()).to_bytes();
 
     let mut bad = good.clone();
     bad[3] ^= 0xFF; // magic
@@ -261,7 +400,7 @@ fn shard_corruption_maps_to_the_right_variant_per_region() {
 
     // Digest spoofing with a recomputed (valid) checksum: the binding
     // check re-derives the digest from the decoded stage and refuses.
-    let mut frame = Frame::submit_shard(&sample_shard_request());
+    let mut frame = shard_frame(&sample_shard_request());
     frame.digest ^= 0xDEAD_BEEF;
     let reparsed = Frame::from_bytes(&frame.to_bytes()).expect("frame shape is valid");
     assert!(matches!(decode_shard(&reparsed), Err(ProtocolError::DigestMismatch { .. })));
@@ -272,13 +411,12 @@ fn shard_corruption_maps_to_the_right_variant_per_region() {
 /// bad-magic error (`docs/FORMAT.md` §6).
 #[test]
 fn archives_and_frames_refuse_each_other_at_the_magic() {
-    let request = sample_shard_request();
-    let archive = persist::to_bytes(&request.stage);
+    let archive = persist::to_bytes(&sample_stage());
     match Frame::from_bytes(&archive) {
         Err(ProtocolError::BadMagic { found }) => assert_eq!(found, persist::MAGIC),
         other => panic!("an archive parsed as a frame: {other:?}"),
     }
-    let frame = Frame::submit_shard(&request).to_bytes();
+    let frame = shard_frame(&sample_shard_request()).to_bytes();
     match persist::from_bytes::<SubsetsSelected>(&frame).map(|_| ()) {
         Err(PersistError::Envelope(ProtocolError::BadMagic { found })) => assert_eq!(found, MAGIC),
         other => panic!("a frame loaded as an archive: {other:?}"),
@@ -287,52 +425,52 @@ fn archives_and_frames_refuse_each_other_at_the_magic() {
 
 /// Version refusal is symmetric and typed: a frame of the previous
 /// protocol version (version field rewritten, checksum honestly
-/// recomputed) is refused offline with `UnsupportedVersion`, and a live
-/// server answers it with a clean `Malformed` rejection naming the
-/// version — no hang, no panic, and the connection that follows still
-/// works.
+/// recomputed) — an inline or a by-reference v5 shard alike — is refused
+/// offline with `UnsupportedVersion`, and a live server answers it with a
+/// clean `Malformed` rejection naming the version — no hang, no panic, and
+/// the connection that follows still works.
 #[test]
 fn previous_protocol_version_is_refused_cleanly() {
-    // Forge a well-formed previous-version shard frame: same bytes,
-    // version field rewritten, trailing checksum recomputed over
-    // [8, len-8).
     let previous = PROTOCOL_VERSION - 1;
-    let mut stale = Frame::submit_shard(&sample_shard_request()).to_bytes();
-    stale[8..10].copy_from_slice(&previous.to_le_bytes());
-    let span = stale.len() - 8;
-    let checksum = fnv1a64(&stale[8..span]);
-    let len = stale.len();
-    stale[len - 8..].copy_from_slice(&checksum.to_le_bytes());
+    let handle = serve(&ServerConfig::new(spill_dir("stale-refusal"))).expect("bind");
+    let by_ref = by_reference(Shard { index: 0, lo: 0, hi: 2 });
+    for request in [sample_shard_request(), by_ref] {
+        // Forge a well-formed previous-version shard frame: same bytes,
+        // version field rewritten, trailing checksum recomputed over
+        // [8, len-8).
+        let mut stale = shard_frame(&request).to_bytes();
+        stale[8..10].copy_from_slice(&previous.to_le_bytes());
+        let span = stale.len() - 8;
+        let checksum = fnv1a64(&stale[8..span]);
+        let len = stale.len();
+        stale[len - 8..].copy_from_slice(&checksum.to_le_bytes());
 
-    // Offline: the parser names the versions.
-    match Frame::from_bytes(&stale) {
-        Err(ProtocolError::UnsupportedVersion { found, .. }) if found == previous => {}
-        other => panic!("expected UnsupportedVersion {{ found: {previous} }}, got {other:?}"),
+        // Offline: the parser names the versions.
+        match Frame::from_bytes(&stale) {
+            Err(ProtocolError::UnsupportedVersion { found, .. }) if found == previous => {}
+            other => panic!("expected UnsupportedVersion {{ found: {previous} }}, got {other:?}"),
+        }
+
+        // Live: the server refuses with a typed Malformed rejection.
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        client.send_raw(&stale).expect("write stale frame");
+        let reply = client.read_frame().expect("reply frame").expect("server replied");
+        assert_eq!(reply.kind, FrameKind::JobError);
+        let rejection: JobRejection = decode_from_slice(&reply.payload).expect("typed rejection");
+        assert_eq!(rejection.code, ErrorCode::Malformed);
+        assert!(
+            rejection.message.contains("version"),
+            "refusal should name the version clash, got: {}",
+            rejection.message
+        );
     }
 
-    // Live: the server refuses with a typed Malformed rejection.
-    let spill = std::env::temp_dir()
-        .join("jigsaw-server-fuzz-tests")
-        .join(format!("stale-refusal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&spill);
-    let handle = serve(&ServerConfig::new(spill)).expect("bind");
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    client.send_raw(&stale).expect("write stale frame");
-    let reply = client.read_frame().expect("reply frame").expect("server replied");
-    assert_eq!(reply.kind, FrameKind::JobError);
-    let rejection: jigsaw_repro::server::JobRejection =
-        jigsaw_repro::pmf::codec::decode_from_slice(&reply.payload).expect("typed rejection");
-    assert_eq!(rejection.code, ErrorCode::Malformed);
-    assert!(
-        rejection.message.contains("version"),
-        "refusal should name the version clash, got: {}",
-        rejection.message
-    );
-
-    // The server outlived the refusal and still serves shards.
+    // The server outlived the refusals and still serves shards.
     let request = sample_shard_request();
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let partial = client.submit_shard(&request).expect("current-version shard still served");
+    let partial = client
+        .submit_shard(sample_stage().config_digest(), &request)
+        .expect("current-version shard still served");
     assert_eq!(partial.shard_index, request.shard.index);
     handle.shutdown();
 }
@@ -342,11 +480,7 @@ fn previous_protocol_version_is_refused_cleanly() {
 /// still completes a real job — no panic took the process down.
 #[test]
 fn live_server_survives_garbage_and_keeps_serving() {
-    let spill = std::env::temp_dir()
-        .join("jigsaw-server-fuzz-tests")
-        .join(format!("live-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&spill);
-    let handle = serve(&ServerConfig::new(spill)).expect("bind");
+    let handle = serve(&ServerConfig::new(spill_dir("live"))).expect("bind");
     let addr = handle.addr();
     let request = sample_request();
     let good_bytes = Frame::submit(&request).to_bytes();
@@ -378,8 +512,7 @@ fn live_server_survives_garbage_and_keeps_serving() {
     client.send_raw(&spoofed.to_bytes()).expect("write spoofed");
     let reply = client.read_frame().expect("reply frame").expect("server replied");
     assert_eq!(reply.kind, FrameKind::JobError);
-    let rejection: jigsaw_repro::server::JobRejection =
-        jigsaw_repro::pmf::codec::decode_from_slice(&reply.payload).expect("typed rejection");
+    let rejection: JobRejection = decode_from_slice(&reply.payload).expect("typed rejection");
     assert_eq!(rejection.code, ErrorCode::DigestMismatch);
 
     // The server is still alive and correct.
