@@ -429,8 +429,8 @@ fn cli_json_mode_rule_filter_and_exit_codes() {
     assert!(stdout.contains("\"allowed\": true"), "audited allows missing: {stdout}");
 
     let spec = std::fs::read_to_string(Path::new(root).join("docs/FORMAT.md")).expect("spec");
-    let mutated =
-        spec.replace("`1` planned, `2` global-compiled", "`2` planned, `1` global-compiled");
+    let mutated = spec
+        .replace("`3` global-run, `4` subsets-selected", "`4` global-run, `3` subsets-selected");
     assert_ne!(mutated, spec, "mutation anchor lost — update this test with FORMAT.md");
     let tmp = std::env::temp_dir().join("jigsaw_analyze_mutated_spec.md");
     std::fs::write(&tmp, mutated).expect("write temp spec");

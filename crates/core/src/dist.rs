@@ -232,10 +232,11 @@ impl Decode for ShardRequest {
 }
 
 impl Shard {
-    /// Checks that the range lies inside `stage`'s work list: a request can
-    /// only name work its stage contains. Decoding runs it against an
-    /// inline stage; a worker runs it against the stage it holds for a
-    /// by-reference request, before the shard reaches [`execute_shard`].
+    /// Checks that the range is non-empty and lies inside `stage`'s work
+    /// list: a request can only name work its stage contains. This is the
+    /// one range rule: decoding runs it against an inline stage, a worker
+    /// against the stage it holds for a by-reference request, and the
+    /// scheduler and [`execute_shard`] before they run anything.
     ///
     /// # Errors
     ///
@@ -243,11 +244,11 @@ impl Shard {
     /// length.
     pub fn check_within(&self, stage: &SubsetsSelected) -> Result<(), CodecError> {
         let items = cpm_count(stage) as u64;
-        if self.hi > items {
+        if self.is_empty() || self.hi > items {
             return Err(CodecError::InvalidValue {
                 what: "ShardRequest",
                 detail: format!(
-                    "shard range {}..{} exceeds the {items}-item work list",
+                    "shard range {}..{} invalid for a {items}-item work list",
                     self.lo, self.hi
                 ),
             });
@@ -270,19 +271,15 @@ fn cpm_count(stage: &SubsetsSelected) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if the shard range is empty or exceeds the stage's work list;
-/// a worker range-checks every request ([`Shard::check_within`]) before it
-/// runs, so this indicates driver misuse.
+/// Panics if [`Shard::check_within`] refuses the range; a worker
+/// range-checks every request before it runs, so this indicates driver
+/// misuse.
 #[must_use]
 pub fn execute_shard(stage: &SubsetsSelected, shard: &Shard) -> ShardPartial {
+    if let Err(e) = shard.check_within(stage) {
+        panic!("{e}");
+    }
     let work = stage.cpm_work();
-    assert!(
-        !shard.is_empty() && shard.hi as usize <= work.len(),
-        "shard range {}..{} invalid for a {}-item work list",
-        shard.lo,
-        shard.hi,
-        work.len()
-    );
     let items = &work[shard.lo as usize..shard.hi as usize];
     let histograms: Vec<CpmHistogram> = items
         .iter()

@@ -22,10 +22,10 @@
 //! ([`SubsetSelection::Adaptive`]), and read per-stage telemetry
 //! ([`pipeline::StageTimings`]).
 //!
-//! Stages are also *persistable*: [`persist`] frames any of the four
-//! upstream stages (`Planned`/`GlobalCompiled`/`GlobalRun`/
-//! `SubsetsSelected`) into a versioned, digest-checked archive
-//! (`docs/FORMAT.md`), so sweeps resume across processes and machines —
+//! Two stages are also *persistable*: [`persist`] frames a `GlobalRun`
+//! (the expensive shared prefix) or a `SubsetsSelected` (the shard
+//! payload) into a versioned, digest-checked archive (`docs/FORMAT.md`),
+//! so sweeps resume across processes and machines —
 //! [`persist::resume_from`] refuses mismatched configurations instead of
 //! silently diverging.
 //!

@@ -2,16 +2,19 @@
 //! that lets sweeps resume across *processes and machines*, not just forks
 //! within one process.
 //!
-//! A checkpoint wraps one encoded stage ([`Planned`], [`GlobalCompiled`],
-//! [`GlobalRun`] or [`SubsetsSelected`]) in the workspace's shared
+//! A checkpoint wraps one encoded stage in the workspace's shared
 //! [`envelope`] (the header, checksum span, payload cap and check order the
-//! job frames use) under the archive's own magic and version:
+//! job frames use) under the archive's own magic and version. Two stages
+//! are archived: [`GlobalRun`], the expensive shared prefix a sweep
+//! checkpoints and resumes, and [`SubsetsSelected`], the payload of a
+//! distributed shard. Planning takes microseconds and the global compile
+//! under a millisecond, so neither earlier stage is worth a checkpoint.
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  89 4A 53 57 0D 0A 1A 0A  ("\x89JSW\r\n\x1a\n")
 //!      8     2  format version (u16 LE)
-//!     10     1  stage kind (1 planned … 4 subsets-selected)
+//!     10     1  stage kind (3 global-run, 4 subsets-selected)
 //!     11     8  config digest: FNV-1a64 over encode(program) ‖
 //!               encode(device) ‖ encode(config)
 //!     19     8  payload length N (u64 LE, at most 2^28)
@@ -80,7 +83,7 @@ use jigsaw_pmf::codec::{self, Decode, Encode};
 use jigsaw_pmf::envelope::{self, Envelope, EnvelopeError};
 
 use crate::jigsaw::JigsawConfig;
-use crate::pipeline::{GlobalCompiled, GlobalRun, Planned, SubsetsSelected};
+use crate::pipeline::{GlobalRun, SubsetsSelected};
 
 pub use jigsaw_pmf::envelope::HEADER_LEN;
 
@@ -102,13 +105,10 @@ pub const FORMAT_VERSION: u16 = 3;
 /// The archive's envelope format.
 const ARCHIVE: Envelope = Envelope { magic: MAGIC, version: FORMAT_VERSION };
 
-/// Which pipeline stage an archive holds.
+/// Which pipeline stage an archive holds. Tags `1` and `2` (the retired
+/// planned and global-compiled archives) are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageKind {
-    /// A [`Planned`] stage (budget split, no artifacts yet).
-    Planned,
-    /// A [`GlobalCompiled`] stage (compiled global artifact).
-    GlobalCompiled,
     /// A [`GlobalRun`] stage (global artifact + prior PMF) — the natural
     /// checkpoint for sweep resume.
     GlobalRun,
@@ -121,8 +121,6 @@ impl StageKind {
     #[must_use]
     pub fn code(self) -> u8 {
         match self {
-            Self::Planned => 1,
-            Self::GlobalCompiled => 2,
             Self::GlobalRun => 3,
             Self::SubsetsSelected => 4,
         }
@@ -132,8 +130,6 @@ impl StageKind {
     #[must_use]
     pub fn from_code(code: u8) -> Option<Self> {
         match code {
-            1 => Some(Self::Planned),
-            2 => Some(Self::GlobalCompiled),
             3 => Some(Self::GlobalRun),
             4 => Some(Self::SubsetsSelected),
             _ => None,
@@ -144,8 +140,6 @@ impl StageKind {
 impl fmt::Display for StageKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Self::Planned => "planned",
-            Self::GlobalCompiled => "global-compiled",
             Self::GlobalRun => "global-run",
             Self::SubsetsSelected => "subsets-selected",
         })
@@ -218,57 +212,29 @@ impl From<EnvelopeError> for PersistError {
     }
 }
 
-mod sealed {
+pub(crate) mod sealed {
     /// The stage set is closed: archives only ever hold pipeline stages.
-    pub trait Sealed {}
-    impl Sealed for crate::pipeline::Planned {}
-    impl Sealed for crate::pipeline::GlobalCompiled {}
-    impl Sealed for crate::pipeline::GlobalRun {}
-    impl Sealed for crate::pipeline::SubsetsSelected {}
+    pub trait Sealed {
+        /// The config digest of the inputs that produced the stage, which
+        /// its archive header carries.
+        fn digest(&self) -> u64;
+    }
 }
 
-/// A pipeline stage that can live in an archive. Sealed: exactly the four
-/// resumable stages of [`JigsawPipeline`](crate::JigsawPipeline) implement
-/// it.
+/// A pipeline stage that can live in an archive. Sealed: exactly the two
+/// checkpointed stages of [`JigsawPipeline`](crate::JigsawPipeline)
+/// implement it.
 pub trait StageArtifact: Encode + Decode + sealed::Sealed {
     /// The stage tag this artifact is framed with.
     const KIND: StageKind;
-
-    /// The producing inputs the archive digest covers.
-    #[doc(hidden)]
-    fn producing_inputs(&self) -> (&Circuit, &Device, &JigsawConfig);
-}
-
-impl StageArtifact for Planned {
-    const KIND: StageKind = StageKind::Planned;
-
-    fn producing_inputs(&self) -> (&Circuit, &Device, &JigsawConfig) {
-        self.ctx().digest_inputs()
-    }
-}
-
-impl StageArtifact for GlobalCompiled {
-    const KIND: StageKind = StageKind::GlobalCompiled;
-
-    fn producing_inputs(&self) -> (&Circuit, &Device, &JigsawConfig) {
-        self.ctx().digest_inputs()
-    }
 }
 
 impl StageArtifact for GlobalRun {
     const KIND: StageKind = StageKind::GlobalRun;
-
-    fn producing_inputs(&self) -> (&Circuit, &Device, &JigsawConfig) {
-        self.ctx().digest_inputs()
-    }
 }
 
 impl StageArtifact for SubsetsSelected {
     const KIND: StageKind = StageKind::SubsetsSelected;
-
-    fn producing_inputs(&self) -> (&Circuit, &Device, &JigsawConfig) {
-        self.ctx().digest_inputs()
-    }
 }
 
 /// FNV-1a64 digest of a producing configuration: the concatenated
@@ -283,16 +249,10 @@ pub fn config_digest(program: &Circuit, device: &Device, config: &JigsawConfig) 
     codec::fnv1a64(w.as_bytes())
 }
 
-/// The config digest of the inputs that produced `stage`.
-fn stage_digest<S: StageArtifact>(stage: &S) -> u64 {
-    let (program, device, config) = stage.producing_inputs();
-    config_digest(program, device, config)
-}
-
 /// Frames a stage into a standalone archive byte vector.
 #[must_use]
 pub fn to_bytes<S: StageArtifact>(stage: &S) -> Vec<u8> {
-    ARCHIVE.seal(S::KIND.code(), stage_digest(stage), &codec::encode_to_vec(stage))
+    ARCHIVE.seal(S::KIND.code(), stage.digest(), &codec::encode_to_vec(stage))
 }
 
 /// Decodes a stage from a standalone archive, verifying it end to end: the
@@ -309,7 +269,7 @@ pub fn from_bytes<S: StageArtifact>(bytes: &[u8]) -> Result<S, PersistError> {
     if header.tag != S::KIND {
         return Err(PersistError::WrongStage { expected: S::KIND, found: header.tag });
     }
-    Ok(envelope::decode_bound(header.digest, payload, stage_digest)?)
+    Ok(envelope::decode_bound(header.digest, payload, S::digest)?)
 }
 
 /// Writes a stage archive to `path`, atomically: the bytes land in a
@@ -365,7 +325,7 @@ pub fn resume_from<S: StageArtifact>(
 ) -> Result<S, PersistError> {
     let stage: S = load_stage(path)?;
     let caller = config_digest(program, device, config);
-    let archive = stage_digest(&stage);
+    let archive = stage.digest();
     if archive != caller {
         return Err(PersistError::ConfigMismatch { archive, caller });
     }
@@ -407,15 +367,7 @@ mod tests {
         let device = Device::toronto();
         let b = bench::ghz(5);
         let config = quick_config(600).with_seed(3);
-        let planned = JigsawPipeline::plan(b.circuit(), &device, &config);
-        let back: Planned = from_bytes(&to_bytes(&planned)).unwrap();
-        assert_eq!(back, planned);
-
-        let compiled = planned.compile_global();
-        let back: GlobalCompiled = from_bytes(&to_bytes(&compiled)).unwrap();
-        assert_eq!(back, compiled);
-
-        let run = compiled.run_global();
+        let run = JigsawPipeline::plan(b.circuit(), &device, &config).compile_global().run_global();
         let back: GlobalRun = from_bytes(&to_bytes(&run)).unwrap();
         assert_eq!(back, run);
 
@@ -445,10 +397,13 @@ mod tests {
     fn wrong_stage_is_refused_by_type() {
         let (_, _, _, run) = small_global_run();
         let bytes = to_bytes(&run);
-        let err = from_bytes::<Planned>(&bytes).unwrap_err();
+        let err = from_bytes::<SubsetsSelected>(&bytes).unwrap_err();
         assert!(matches!(
             err,
-            PersistError::WrongStage { expected: StageKind::Planned, found: StageKind::GlobalRun }
+            PersistError::WrongStage {
+                expected: StageKind::SubsetsSelected,
+                found: StageKind::GlobalRun
+            }
         ));
     }
 

@@ -304,9 +304,10 @@ impl Ctx {
         Executor::new(&self.device).run(&artifact.circuit, item.trials, &cpm_run)
     }
 
-    /// The inputs the archive config digest covers (see [`crate::persist`]).
-    pub(crate) fn digest_inputs(&self) -> (&Circuit, &Device, &JigsawConfig) {
-        (&self.program, &self.device, &self.config)
+    /// The [`crate::persist::config_digest`] of the producing `(program,
+    /// device, config)` triple: the one place a stage's digest is taken.
+    pub(crate) fn config_digest(&self) -> u64 {
+        crate::persist::config_digest(&self.program, &self.device, &self.config)
     }
 }
 
@@ -721,8 +722,7 @@ impl SubsetsSelected {
     /// bound to, mirroring the job protocol's digest binding.
     #[must_use]
     pub fn config_digest(&self) -> u64 {
-        let (program, device, config) = self.ctx.digest_inputs();
-        crate::persist::config_digest(program, device, config)
+        self.ctx.config_digest()
     }
 
     /// Stage 4: compiles (or derives from the global artifact) and executes
@@ -1120,9 +1120,9 @@ impl PartialEq for Ctx {
     }
 }
 
-impl Planned {
-    pub(crate) fn ctx(&self) -> &Ctx {
-        &self.ctx
+impl crate::persist::sealed::Sealed for GlobalRun {
+    fn digest(&self) -> u64 {
+        self.ctx.config_digest()
     }
 }
 
@@ -1130,60 +1130,6 @@ impl Planned {
 /// ignores [`StageTimings`] — mirroring [`JigsawResult`]'s `PartialEq` —
 /// so a checkpoint-resumed stage compares equal to the in-process stage it
 /// was saved from.
-impl PartialEq for Planned {
-    fn eq(&self, other: &Self) -> bool {
-        self.ctx == other.ctx
-    }
-}
-
-impl Encode for Planned {
-    fn encode(&self, w: &mut Writer) {
-        self.ctx.encode(w);
-    }
-}
-
-impl Decode for Planned {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self { ctx: Ctx::decode(r)? })
-    }
-}
-
-impl GlobalCompiled {
-    pub(crate) fn ctx(&self) -> &Ctx {
-        &self.ctx
-    }
-}
-
-/// See [`Planned`]'s `PartialEq`: protocol state only, telemetry ignored.
-impl PartialEq for GlobalCompiled {
-    fn eq(&self, other: &Self) -> bool {
-        self.ctx == other.ctx && self.global == other.global
-    }
-}
-
-impl Encode for GlobalCompiled {
-    fn encode(&self, w: &mut Writer) {
-        self.ctx.encode(w);
-        self.global.encode(w);
-    }
-}
-
-impl Decode for GlobalCompiled {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let ctx = Ctx::decode(r)?;
-        let global = Compiled::decode(r)?;
-        check_global_artifact(&ctx, &global)?;
-        Ok(Self { ctx, global })
-    }
-}
-
-impl GlobalRun {
-    pub(crate) fn ctx(&self) -> &Ctx {
-        &self.ctx
-    }
-}
-
-/// See [`Planned`]'s `PartialEq`: protocol state only, telemetry ignored.
 impl PartialEq for GlobalRun {
     fn eq(&self, other: &Self) -> bool {
         self.ctx == other.ctx
@@ -1214,13 +1160,13 @@ impl Decode for GlobalRun {
     }
 }
 
-impl SubsetsSelected {
-    pub(crate) fn ctx(&self) -> &Ctx {
-        &self.ctx
+impl crate::persist::sealed::Sealed for SubsetsSelected {
+    fn digest(&self) -> u64 {
+        self.ctx.config_digest()
     }
 }
 
-/// See [`Planned`]'s `PartialEq`: protocol state only, telemetry ignored.
+/// See [`GlobalRun`]'s `PartialEq`: protocol state only, telemetry ignored.
 impl PartialEq for SubsetsSelected {
     fn eq(&self, other: &Self) -> bool {
         self.ctx == other.ctx
@@ -1457,7 +1403,7 @@ mod tests {
 
         // The happy path matches the panicking entry point.
         let planned = JigsawPipeline::try_plan(bench::ghz(4).circuit(), &device, &config).unwrap();
-        assert_eq!(planned, JigsawPipeline::plan(bench::ghz(4).circuit(), &device, &config));
+        assert!(planned.ctx == JigsawPipeline::plan(bench::ghz(4).circuit(), &device, &config).ctx);
     }
 
     #[test]

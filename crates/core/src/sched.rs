@@ -421,13 +421,7 @@ impl Scheduler {
         shard: dist::Shard,
         priority: Priority,
     ) -> Result<ShardTicket, JobError> {
-        let items = stage.layers().iter().map(|layer| layer.subsets.len()).sum::<usize>() as u64;
-        if shard.is_empty() || shard.hi > items {
-            return Err(JobError::Failed(format!(
-                "shard range {}..{} invalid for a {items}-item work list",
-                shard.lo, shard.hi
-            )));
-        }
+        shard.check_within(&stage).map_err(|e| JobError::Failed(e.to_string()))?;
         let cell = Cell::new();
         self.admit(Work::Shard { cell: Arc::clone(&cell), stage, shard }, priority)?;
         Ok(Ticket { cell })
@@ -688,12 +682,15 @@ mod tests {
         let items = stage.layers().iter().map(|l| l.subsets.len()).sum::<usize>();
         let sched = Scheduler::new(SchedConfig::default().with_workers(2));
 
-        // An out-of-range shard is refused without consuming capacity.
-        let bogus = dist::Shard { index: 0, lo: 0, hi: items as u64 + 1 };
-        assert!(matches!(
-            sched.submit_shard(Arc::clone(&stage), bogus, Priority::Sweep),
-            Err(JobError::Failed(_))
-        ));
+        // An out-of-range or empty shard is refused without consuming
+        // capacity.
+        for (lo, hi) in [(0, items as u64 + 1), (1, 1)] {
+            let bogus = dist::Shard { index: 0, lo, hi };
+            assert!(matches!(
+                sched.submit_shard(Arc::clone(&stage), bogus, Priority::Sweep),
+                Err(JobError::Failed(_))
+            ));
+        }
         assert_eq!(sched.admitted(), 0);
 
         let lanes = [Priority::Interactive, Priority::Sweep, Priority::Background];

@@ -77,6 +77,9 @@ pub const MAGIC: [u8; 8] = *b"\x89JSJ\r\n\x1a\x0a";
 /// after its priority, so a shard names its stage by the frame digest and
 /// ships it inline only when the worker answers
 /// [`ErrorCode::StageMissing`]; a v5 peer is refused the same typed way.
+/// Still v6, same layout: when the planned and global-compiled archive
+/// kinds were deleted, the [`JobRequest::hint`] byte narrowed to `3` or
+/// `4`, so a `1` or `2` is now refused as malformed.
 pub const PROTOCOL_VERSION: u16 = 6;
 
 /// The frame's envelope format.
@@ -332,10 +335,11 @@ pub struct JobRequest {
     /// The full pipeline configuration.
     pub config: JigsawConfig,
     /// Legacy stage hint. Its byte stays on the wire and must still name a
-    /// valid [`StageKind`], but the server no longer reads it: an evicted
-    /// job spills its served response, not a pipeline stage. Removing it
-    /// changes the `SubmitJob` payload, so it needs its own protocol
-    /// version bump, taken together with a benchmark update.
+    /// [`StageKind`] — `3` global-run, which every in-repo sender sends,
+    /// or `4` subsets-selected — but the server no longer reads it: an
+    /// evicted job spills its served response, not a pipeline stage.
+    /// Removing it changes the `SubmitJob` payload, so it needs its own
+    /// protocol version bump, taken together with a benchmark update.
     pub hint: StageKind,
     /// Scheduling lane for this job (protocol v2). Excluded from
     /// [`Self::digest`] — results are priority-invariant, so identical

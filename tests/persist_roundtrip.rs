@@ -5,14 +5,16 @@
 //! counts and simulation backends. Archives themselves must be
 //! deterministic (two identical runs → identical bytes; telemetry is
 //! non-semantic) and corruption of any single byte must surface as a typed
-//! error, never a panic and never a silently different result.
+//! error, never a panic and never a silently different result. The bytes of
+//! one fixed-seed archive per stage kind are pinned by FNV-1a digest.
 
 use jigsaw_repro::circuit::bench;
 use jigsaw_repro::compiler::CompilerOptions;
 use jigsaw_repro::core::persist::{self, PersistError};
-use jigsaw_repro::core::pipeline::{GlobalCompiled, GlobalRun, Planned, SubsetsSelected};
+use jigsaw_repro::core::pipeline::{GlobalRun, SubsetsSelected};
 use jigsaw_repro::core::{run_jigsaw, JigsawConfig, JigsawPipeline};
 use jigsaw_repro::device::Device;
+use jigsaw_repro::pmf::codec::fnv1a64;
 use jigsaw_repro::pmf::envelope::EnvelopeError;
 use jigsaw_repro::sim::BackendChoice;
 use proptest::prelude::*;
@@ -117,18 +119,18 @@ proptest! {
     }
 }
 
-/// Builds one small archive per checkpointable stage kind.
+/// FNV-1a64 of the [`sample_archives`] bytes, one per stage kind.
+const GLOBAL_RUN_DIGEST: u64 = 0xca69_be5f_4c6f_ee50;
+const SUBSETS_SELECTED_DIGEST: u64 = 0x60a5_a110_f2e2_8291;
+
+/// Builds one small archive per stage kind.
 fn sample_archives() -> Vec<(&'static str, Vec<u8>)> {
     let device = Device::toronto();
     let b = bench::ghz(5);
     let cfg = config(700, 42, vec![2], 1, BackendChoice::Auto);
-    let planned = JigsawPipeline::plan(b.circuit(), &device, &cfg);
-    let compiled = planned.clone().compile_global();
-    let run = compiled.clone().run_global();
+    let run = JigsawPipeline::plan(b.circuit(), &device, &cfg).compile_global().run_global();
     let selected = run.clone().select_subsets();
     vec![
-        ("planned", persist::to_bytes(&planned)),
-        ("global-compiled", persist::to_bytes(&compiled)),
         ("global-run", persist::to_bytes(&run)),
         ("subsets-selected", persist::to_bytes(&selected)),
     ]
@@ -136,11 +138,21 @@ fn sample_archives() -> Vec<(&'static str, Vec<u8>)> {
 
 fn decode_any(name: &str, bytes: &[u8]) -> Result<(), PersistError> {
     match name {
-        "planned" => persist::from_bytes::<Planned>(bytes).map(|_| ()),
-        "global-compiled" => persist::from_bytes::<GlobalCompiled>(bytes).map(|_| ()),
         "global-run" => persist::from_bytes::<GlobalRun>(bytes).map(|_| ()),
         "subsets-selected" => persist::from_bytes::<SubsetsSelected>(bytes).map(|_| ()),
         other => unreachable!("unknown stage fixture {other}"),
+    }
+}
+
+/// A fixed-seed archive of each stage kind keeps its bytes: any change to a
+/// stage encoding, the header or the digest moves a pin.
+#[test]
+fn archive_bytes_are_pinned() {
+    for ((name, bytes), want) in
+        sample_archives().into_iter().zip([GLOBAL_RUN_DIGEST, SUBSETS_SELECTED_DIGEST])
+    {
+        let got = fnv1a64(&bytes);
+        assert_eq!(got, want, "{name}: digest {got:#018x}");
     }
 }
 
@@ -179,10 +191,18 @@ fn corruption_always_surfaces_as_a_typed_error() {
     }
 }
 
+/// Recomputes the trailing checksum, as a forger editing the header would,
+/// so the forged bytes pass the envelope's checksum.
+fn reseal(bytes: &mut [u8]) {
+    let end = bytes.len() - 8;
+    let checksum = fnv1a64(&bytes[8..end]);
+    bytes[end..].copy_from_slice(&checksum.to_le_bytes());
+}
+
 /// The four header failure modes are distinguishable, in check order.
 #[test]
 fn header_failures_are_precise() {
-    let (_, bytes) = sample_archives().remove(2);
+    let (_, bytes) = sample_archives().remove(0);
 
     let mut bad = bytes.clone();
     bad[3] ^= 0xFF;
@@ -205,7 +225,22 @@ fn header_failures_are_precise() {
         Err(PersistError::Envelope(EnvelopeError::UnknownTag { tag: 0 }))
     ));
 
-    assert!(matches!(persist::from_bytes::<Planned>(&bytes), Err(PersistError::WrongStage { .. })));
+    // Tags 1 and 2 (the retired planned and global-compiled archives) are
+    // unknown even under a valid checksum.
+    for tag in [1, 2] {
+        let mut bad = bytes.clone();
+        bad[10] = tag;
+        reseal(&mut bad);
+        assert!(matches!(
+            persist::from_bytes::<GlobalRun>(&bad),
+            Err(PersistError::Envelope(EnvelopeError::UnknownTag { tag: t })) if t == tag
+        ));
+    }
+
+    assert!(matches!(
+        persist::from_bytes::<SubsetsSelected>(&bytes),
+        Err(PersistError::WrongStage { .. })
+    ));
 
     // Flipping one payload byte trips the checksum before any decoding.
     let mut bad = bytes.clone();

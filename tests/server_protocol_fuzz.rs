@@ -166,11 +166,22 @@ fn semantically_invalid_payloads_are_refused_under_valid_checksums() {
     // Encodes fine; the decoder's invariant validation must refuse a
     // confidence outside (0, 1).
     request.config.allocation = TrialAllocation::CoverageWeighted { confidence: f64::NAN };
-    let frame = Frame::submit(&request);
-    let reparsed = Frame::from_bytes(&frame.to_bytes()).expect("frame shape is valid");
-    match decode_submit(&reparsed) {
-        Err(ProtocolError::Codec(_)) => {}
-        other => panic!("expected a codec refusal, got {other:?}"),
+    let mut frames = vec![Frame::submit(&request)];
+    // The stage-hint byte (just before the trailing priority byte) naming
+    // a retired stage tag, `1` planned or `2` global-compiled.
+    for hint in [1, 2] {
+        let mut frame = Frame::submit(&sample_request());
+        let at = frame.payload.len() - 2;
+        assert_eq!(frame.payload[at], 3, "the default global-run hint byte");
+        frame.payload[at] = hint;
+        frames.push(frame);
+    }
+    for frame in frames {
+        let reparsed = Frame::from_bytes(&frame.to_bytes()).expect("frame shape is valid");
+        match decode_submit(&reparsed) {
+            Err(ProtocolError::Codec(_)) => {}
+            other => panic!("expected a codec refusal, got {other:?}"),
+        }
     }
 }
 
