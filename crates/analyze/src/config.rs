@@ -204,12 +204,10 @@ impl Config {
                 .to_vec(),
             det_map_exempt: vec!["crates/pmf/src/hashing.rs".to_owned()],
             locks: vec![
-                lock("crates/core/src/dist.rs", "queue", "dist.queue", 5),
                 lock("crates/server/src/server.rs", "pending", "server.conn_queue", 10),
                 lock("crates/server/src/server.rs", "stages", "server.stage_store", 15),
                 lock("crates/server/src/cache.rs", "inner", "cache.inner", 20),
                 lock("crates/core/src/sched.rs", "state", "sched.state", 30),
-                lock("crates/core/src/sched.rs", "slot", "sched.cell.slot", 40),
                 lock("crates/server/src/cache.rs", "slot", "cache.flight.slot", 50),
                 lock("crates/core/src/telemetry.rs", "counters", "telemetry.counters", 60),
                 lock("crates/core/src/telemetry.rs", "histograms", "telemetry.histograms", 61),

@@ -24,8 +24,11 @@
 //! [`run_sharded`] is the fault-tolerant driver over any set of
 //! [`ShardRunner`]s: a failed runner is retired and its shard reassigned
 //! to a survivor (same seeds → same bytes); a shard that exhausts
-//! [`DistConfig::max_attempts`] or outlives [`DistConfig::watchdog`]
-//! surfaces a typed [`DistError`] instead of hanging.
+//! [`DistConfig::max_attempts`] surfaces a typed [`DistError`], and so
+//! does a wait for the next outcome longer than [`DistConfig::watchdog`].
+//! The driver thread alone owns the queue and the bookkeeping: it hands
+//! each shard to one runner's inbox and reads every outcome from one
+//! channel, so the module holds no lock and polls nothing.
 //!
 //! `tests/dist_determinism.rs` proptests the bit-identity invariant
 //! across worker counts × shard sizes × delivery orders;
@@ -36,6 +39,7 @@ use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use jigsaw_pmf::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -43,17 +47,12 @@ use jigsaw_pmf::{CpmHistogram, ShardPartial};
 
 use crate::bayes::Marginal;
 use crate::jigsaw::JigsawResult;
-use crate::lockcheck::{Condvar, Mutex};
 use crate::pipeline::{CpmWork, SubsetsSelected};
 use crate::sched::Priority;
 use crate::telemetry;
 
-/// How long a blocked driver thread sleeps between re-checks of the
-/// shared sweep state. Watchdog time is accumulated in units of this
-/// poll, so the codec-module ban on wall-clock reads holds here too.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Driver-side knobs for a distributed sweep.
+/// Driver-side knobs for a distributed sweep. Shard requests always ride
+/// the remote workers' [`Priority::Sweep`] lane.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
     /// CPM work items per shard (≥ 1; the last shard may be shorter).
@@ -61,23 +60,18 @@ pub struct DistConfig {
     /// Total executions allowed per shard before the sweep fails with
     /// [`DistError::ShardFailed`] (≥ 1).
     pub max_attempts: usize,
-    /// Upper bound on the driver's wait for the next shard to finish. On
+    /// Upper bound on the driver's wait for the next shard *outcome*. On
     /// expiry the sweep fails with [`DistError::Timeout`] instead of
-    /// hanging on a silent worker; a sweep that keeps finishing shards
-    /// never expires, however long it runs.
+    /// hanging on a silent worker. Every outcome restarts the wait, so a
+    /// sweep that keeps finishing shards never expires, however long it
+    /// runs; a runner reports at most one failure before it is retired,
+    /// so failures cannot stretch the wait without bound either.
     pub watchdog: Duration,
-    /// Priority lane shard requests ride on remote workers' schedulers.
-    pub priority: Priority,
 }
 
 impl Default for DistConfig {
     fn default() -> Self {
-        Self {
-            shard_size: 8,
-            max_attempts: 3,
-            watchdog: Duration::from_secs(120),
-            priority: Priority::Sweep,
-        }
+        Self { shard_size: 8, max_attempts: 3, watchdog: Duration::from_secs(120) }
     }
 }
 
@@ -100,13 +94,6 @@ impl DistConfig {
     #[must_use]
     pub fn with_watchdog(mut self, watchdog: Duration) -> Self {
         self.watchdog = watchdog;
-        self
-    }
-
-    /// Sets the remote priority lane.
-    #[must_use]
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
         self
     }
 }
@@ -438,33 +425,20 @@ impl ShardRunner for LocalRunner {
     }
 }
 
-/// Shared driver state: the work queue plus completion bookkeeping.
-struct SweepState {
-    /// Shards awaiting a runner, with their attempt counts so far.
-    pending: VecDeque<(Shard, usize)>,
-    /// Collected partials, in completion order (merge re-sorts).
-    results: Vec<ShardPartial>,
-    /// First terminal failure; set once, ends the sweep.
-    failure: Option<DistError>,
-    /// Runners not yet retired by an error.
-    active: usize,
-    /// Shards currently executing on some runner.
-    in_flight: usize,
-}
-
-/// The driver's shared queue. Lock rank 5 (`dist.queue`): acquired
-/// before any scheduler or cell lock a [`ShardRunner`] might take.
-struct Sweep {
-    queue: Mutex<SweepState>,
-    changed: Condvar,
-}
+/// One runner's report to the driver: the runner's index, the shard it
+/// ran, the attempts charged to that shard before this one, and the
+/// outcome.
+type Report = (usize, Shard, usize, Result<ShardPartial, String>);
 
 /// Scatters `stage`'s CPM work across `runners` and merges the partials
-/// into the final result. One driver thread per runner pulls shards from
-/// a shared queue; a runner that errors is **retired** (its in-flight
-/// shard requeued for a survivor, counting one attempt), so worker death
-/// degrades capacity instead of failing the sweep. Results merge through
-/// [`merge_partials`], preserving bit-identity with the solo run.
+/// into the final result. The calling thread owns the sweep: the pending
+/// queue, the attempt counts, the idle runners and the collected
+/// partials. Each runner gets a thread that runs only the shards handed to
+/// its inbox and reports every outcome on one shared channel. A runner
+/// that errors is **retired** (its shard requeued for a survivor, counting
+/// one attempt), so worker death degrades capacity instead of failing the
+/// sweep. Results merge through [`merge_partials`], preserving
+/// bit-identity with the solo run.
 ///
 /// # Errors
 ///
@@ -483,139 +457,80 @@ pub fn run_sharded(
     if runners.is_empty() {
         return Err(DistError::NoWorkers);
     }
-    let shards = plan_shards(cpm_count(stage), config.shard_size);
-    let total = shards.len();
-    let sweep = Sweep {
-        queue: Mutex::new(
-            "dist.queue",
-            SweepState {
-                pending: shards.into_iter().map(|s| (s, 0)).collect(),
-                results: Vec::new(),
-                failure: None,
-                active: runners.len(),
-                in_flight: 0,
-            },
-        ),
-        changed: Condvar::new(),
-    };
+    let mut pending: VecDeque<(Shard, usize)> =
+        plan_shards(cpm_count(stage), config.shard_size).into_iter().map(|s| (s, 0)).collect();
+    let total = pending.len();
+    let mut partials = Vec::with_capacity(total);
+    let (report, reports) = mpsc::channel::<Report>();
     std::thread::scope(|scope| {
-        for mut runner in runners {
-            let sweep = &sweep;
-            scope.spawn(move || runner_loop(sweep, stage, runner.as_mut(), config, total));
-        }
-        watch(&sweep, config, total);
-    });
-    let mut state = sweep.queue.lock();
-    if let Some(failure) = state.failure.take() {
-        return Err(failure);
-    }
-    let results = std::mem::take(&mut state.results);
-    drop(state);
-    merge_partials(stage.clone(), results)
-}
-
-/// The watchdog: waits for completion or failure, accumulating wait time
-/// since the last finished shard in [`POLL_INTERVAL`] units, and converts
-/// expiry into a typed [`DistError::Timeout`] so a silent worker can never
-/// hang the driver. Only a poll that times out counts (a wake-up before it
-/// is a shard event), and each finished shard restarts the count, so a
-/// sweep still making progress never runs its watchdog down.
-fn watch(sweep: &Sweep, config: &DistConfig, total: usize) {
-    let mut waited = Duration::ZERO;
-    let mut finished = 0;
-    let mut state = sweep.queue.lock();
-    loop {
-        if state.failure.is_some() || state.results.len() == total {
-            break;
-        }
-        if state.results.len() > finished {
-            finished = state.results.len();
-            waited = Duration::ZERO;
-        }
-        if waited >= config.watchdog {
-            state.failure =
-                Some(DistError::Timeout { waited, unfinished: total - state.results.len() });
-            break;
-        }
-        let (guard, poll) = sweep.changed.wait_timeout(state, POLL_INTERVAL);
-        state = guard;
-        if poll.timed_out() {
-            waited += POLL_INTERVAL;
-        }
-    }
-    drop(state);
-    sweep.changed.notify_all();
-}
-
-/// One driver thread: pull a shard, run it on this runner, report. An
-/// error retires the runner after requeueing (or failing) its shard.
-fn runner_loop(
-    sweep: &Sweep,
-    stage: &SubsetsSelected,
-    runner: &mut dyn ShardRunner,
-    config: &DistConfig,
-    total: usize,
-) {
-    loop {
-        let (shard, attempts) = {
-            let mut state = sweep.queue.lock();
-            loop {
-                if state.failure.is_some() || state.results.len() == total {
-                    return;
-                }
-                if let Some((shard, attempts)) = state.pending.pop_front() {
-                    state.in_flight += 1;
-                    break (shard, attempts);
-                }
-                let (guard, _) = sweep.changed.wait_timeout(state, POLL_INTERVAL);
-                state = guard;
+        let inboxes: Vec<_> = runners
+            .into_iter()
+            .enumerate()
+            .map(|(id, mut runner)| {
+                let (inbox, shards) = mpsc::channel::<(Shard, usize)>();
+                let report = report.clone();
+                scope.spawn(move || {
+                    for (shard, attempts) in shards {
+                        let outcome = runner.run_shard(stage, &shard, Priority::Sweep);
+                        let retired = outcome.is_err();
+                        telemetry::dist_shards(if retired { "error" } else { "ok" }).inc();
+                        if report.send((id, shard, attempts, outcome)).is_err() || retired {
+                            return;
+                        }
+                    }
+                });
+                inbox
+            })
+            .collect();
+        drop(report);
+        let mut idle: VecDeque<usize> = (0..inboxes.len()).collect();
+        let mut live = inboxes.len();
+        // Dropping `inboxes` on return ends every idle runner's loop.
+        loop {
+            let handed = idle.len().min(pending.len());
+            for (id, next) in idle.drain(..handed).zip(pending.drain(..handed)) {
+                // An idle runner is parked on its inbox (a runner thread
+                // exits only once retired), so the send cannot fail.
+                let _ = inboxes[id].send(next);
             }
-        };
-        match runner.run_shard(stage, &shard, config.priority) {
-            Ok(partial) => {
-                telemetry::dist_shards("ok").inc();
-                let mut state = sweep.queue.lock();
-                state.in_flight -= 1;
-                state.results.push(partial);
-                drop(state);
-                sweep.changed.notify_all();
+            if partials.len() == total {
+                return Ok(());
             }
-            Err(message) => {
-                telemetry::dist_shards("error").inc();
-                let attempts = attempts + 1;
-                let mut state = sweep.queue.lock();
-                state.in_flight -= 1;
-                state.active -= 1;
-                let mut requeued = false;
-                if state.failure.is_some() {
-                    // The sweep already failed terminally (e.g. the
-                    // watchdog expired while this runner was wedged);
-                    // the first failure wins.
-                } else if attempts >= config.max_attempts.max(1) {
-                    state.failure = Some(DistError::ShardFailed {
-                        shard_index: shard.index,
-                        attempts,
-                        last_error: message,
-                    });
-                } else if state.active == 0 {
-                    state.failure = Some(DistError::ShardFailed {
-                        shard_index: shard.index,
-                        attempts,
-                        last_error: format!("no surviving workers: {message}"),
-                    });
-                } else {
-                    state.pending.push_back((shard, attempts));
-                    requeued = true;
+            let Ok((id, shard, attempts, outcome)) = reports.recv_timeout(config.watchdog) else {
+                return Err(DistError::Timeout {
+                    waited: config.watchdog,
+                    unfinished: total - partials.len(),
+                });
+            };
+            let message = match outcome {
+                Ok(partial) => {
+                    partials.push(partial);
+                    idle.push_back(id);
+                    continue;
                 }
-                drop(state);
-                if requeued {
-                    telemetry::dist_retries().inc();
-                }
-                sweep.changed.notify_all();
-                return;
+                Err(message) => message,
+            };
+            live -= 1;
+            let attempts = attempts + 1;
+            if attempts >= config.max_attempts.max(1) {
+                return Err(DistError::ShardFailed {
+                    shard_index: shard.index,
+                    attempts,
+                    last_error: message,
+                });
             }
+            if live == 0 {
+                return Err(DistError::ShardFailed {
+                    shard_index: shard.index,
+                    attempts,
+                    last_error: format!("no surviving workers: {message}"),
+                });
+            }
+            pending.push_back((shard, attempts));
+            telemetry::dist_retries().inc();
         }
-    }
+    })?;
+    merge_partials(stage.clone(), partials)
 }
 
 #[cfg(test)]

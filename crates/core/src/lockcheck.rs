@@ -10,12 +10,10 @@
 //!
 //! | rank | lock |
 //! |-----:|------|
-//! | 5 | `dist.queue` |
 //! | 10 | `server.conn_queue` |
 //! | 15 | `server.stage_store` |
 //! | 20 | `cache.inner` |
 //! | 30 | `sched.state` |
-//! | 40 | `sched.cell.slot` |
 //! | 50 | `cache.flight.slot` |
 //! | 60 | `telemetry.counters` |
 //! | 61 | `telemetry.histograms` |

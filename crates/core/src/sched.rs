@@ -22,6 +22,10 @@
 //! * **Bounded admission.** At most [`SchedConfig::capacity`] jobs are
 //!   admitted at once; the next submission is refused with a typed
 //!   [`JobError::Overloaded`] instead of queueing without limit.
+//! * **One channel per ticket.** Each queued unit carries the sending half
+//!   of a channel and its [`Ticket`] holds the receiving half, so a
+//!   verdict has one owner and the pool's one lock (`sched.state`) guards
+//!   only the lanes and the admission count.
 //!
 //! The invariant everything above must preserve — and
 //! `tests/sched_determinism.rs` enforces — is **per-job bit-identity**:
@@ -61,7 +65,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -219,25 +223,14 @@ impl SchedConfig {
     }
 }
 
-/// Shared completion cell: the worker fills it, the [`Ticket`] waits on
-/// it. Job and shard cells share the `sched.cell.slot` lock rank — no
-/// thread ever holds two cells at once.
-struct Cell<T> {
-    slot: Mutex<Option<Result<T, JobError>>>,
-    done: Condvar,
-}
-
-impl<T> Cell<T> {
-    fn new() -> Arc<Self> {
-        Arc::new(Self { slot: Mutex::new("sched.cell.slot", None), done: Condvar::new() })
-    }
-}
-
 /// A claim on one submitted unit of work. [`Self::wait`] blocks until the
 /// scheduler completes (or refuses) it.
 pub struct Ticket<T> {
-    cell: Arc<Cell<T>>,
+    verdict: mpsc::Receiver<Result<T, JobError>>,
 }
+
+/// The sending half a queued unit carries to its completion.
+type Verdict<T> = mpsc::Sender<Result<T, JobError>>;
 
 /// A claim on one submitted job ([`Scheduler::submit`]).
 pub type JobTicket = Ticket<JigsawResult>;
@@ -247,42 +240,38 @@ pub type ShardTicket = Ticket<ShardPartial>;
 
 impl<T> fmt::Debug for Ticket<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let decided = self.cell.slot.lock().is_some();
-        f.debug_struct("Ticket").field("decided", &decided).finish()
+        f.debug_struct("Ticket").finish_non_exhaustive()
     }
 }
 
 impl<T> Ticket<T> {
+    /// A ticket and the sender its unit of work carries.
+    fn new() -> (Verdict<T>, Self) {
+        let (sender, verdict) = mpsc::channel();
+        (sender, Self { verdict })
+    }
+
     /// Blocks until the work completes and returns its output: the job's
     /// result (byte-identical to a solo [`run_jigsaw`](crate::run_jigsaw))
-    /// or the shard's partial.
+    /// or the shard's partial. The scheduler sends exactly one verdict per
+    /// unit; a unit dropped without one reads as [`JobError::Shutdown`],
+    /// never a hang.
     ///
     /// # Errors
     ///
     /// The [`JobError`] the scheduler refused or failed the work with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the completion lock is poisoned (a scheduler bug: job
-    /// code never runs under it).
     pub fn wait(self) -> Result<T, JobError> {
-        let mut slot = self.cell.slot.lock();
-        loop {
-            if let Some(verdict) = slot.take() {
-                return verdict;
-            }
-            slot = self.cell.done.wait(slot);
-        }
+        self.verdict.recv().unwrap_or(Err(JobError::Shutdown))
     }
 }
 
 /// The payload of one queued dispatch unit.
 enum Work {
     /// A pipeline job parked at a stage boundary.
-    Stage { cell: Arc<Cell<JigsawResult>>, task: Box<StageTask> },
+    Stage { verdict: Verdict<JigsawResult>, task: Box<StageTask> },
     /// One distributed-sweep shard ([`Scheduler::submit_shard`]),
     /// resolved through [`dist::execute_shard`].
-    Shard { cell: Arc<Cell<ShardPartial>>, stage: Arc<SubsetsSelected>, shard: dist::Shard },
+    Shard { verdict: Verdict<ShardPartial>, stage: Arc<SubsetsSelected>, shard: dist::Shard },
 }
 
 /// One queued unit of work sitting in a lane.
@@ -392,10 +381,10 @@ impl Scheduler {
         priority: Priority,
     ) -> Result<JobTicket, JobError> {
         let planned = JigsawPipeline::try_plan(program, device, config)?;
-        let cell = Cell::new();
+        let (verdict, ticket) = Ticket::new();
         let task = Box::new(StageTask::Planned(planned));
-        self.admit(Work::Stage { cell: Arc::clone(&cell), task }, priority)?;
-        Ok(Ticket { cell })
+        self.admit(Work::Stage { verdict, task }, priority)?;
+        Ok(ticket)
     }
 
     /// Submits one distributed-sweep shard into `priority`'s lane: the
@@ -422,9 +411,9 @@ impl Scheduler {
         priority: Priority,
     ) -> Result<ShardTicket, JobError> {
         shard.check_within(&stage).map_err(|e| JobError::Failed(e.to_string()))?;
-        let cell = Cell::new();
-        self.admit(Work::Shard { cell: Arc::clone(&cell), stage, shard }, priority)?;
-        Ok(Ticket { cell })
+        let (verdict, ticket) = Ticket::new();
+        self.admit(Work::Shard { verdict, stage, shard }, priority)?;
+        Ok(ticket)
     }
 
     /// Shared admission: bounds capacity, enqueues, wakes one worker.
@@ -473,8 +462,8 @@ impl Scheduler {
     /// Completes a never-dispatched unit with [`JobError::Shutdown`].
     fn fail_pending(inner: &Inner, work: Work) {
         match work {
-            Work::Stage { cell, .. } => Self::complete(inner, &cell, Err(JobError::Shutdown)),
-            Work::Shard { cell, .. } => Self::complete(inner, &cell, Err(JobError::Shutdown)),
+            Work::Stage { verdict, .. } => Self::complete(inner, &verdict, Err(JobError::Shutdown)),
+            Work::Shard { verdict, .. } => Self::complete(inner, &verdict, Err(JobError::Shutdown)),
         }
     }
 
@@ -511,14 +500,14 @@ impl Scheduler {
         let Pending { work, lane, enqueued } = pending;
         inner.metrics.queue_wait[lane.index()].observe(enqueued.elapsed());
         match work {
-            Work::Shard { cell, stage, shard } => {
-                let verdict =
+            Work::Shard { verdict, stage, shard } => {
+                let partial =
                     contain(|| dist::execute_shard(&stage, &shard)).map_err(JobError::Failed);
-                Self::complete(inner, &cell, verdict);
+                Self::complete(inner, &verdict, partial);
             }
-            Work::Stage { cell, task } => match contain(move || task.advance()) {
+            Work::Stage { verdict, task } => match contain(move || task.advance()) {
                 Ok(StageOutcome::Next(task)) => {
-                    let work = Work::Stage { cell, task };
+                    let work = Work::Stage { verdict, task };
                     let mut state = inner.state.lock();
                     if state.shutdown {
                         drop(state);
@@ -533,23 +522,21 @@ impl Scheduler {
                     drop(state);
                     inner.work.notify_one();
                 }
-                Ok(StageOutcome::Done(result)) => Self::complete(inner, &cell, Ok(*result)),
-                Err(detail) => Self::complete(inner, &cell, Err(JobError::Failed(detail))),
+                Ok(StageOutcome::Done(result)) => Self::complete(inner, &verdict, Ok(*result)),
+                Err(detail) => Self::complete(inner, &verdict, Err(JobError::Failed(detail))),
             },
         }
     }
 
-    /// Releases the unit's admission slot and hands its verdict to the
-    /// waiting ticket.
-    fn complete<T>(inner: &Inner, cell: &Cell<T>, verdict: Result<T, JobError>) {
+    /// Releases the unit's admission slot, then hands its verdict to the
+    /// ticket. A ticket dropped unwaited leaves nobody to tell, so a
+    /// failed send is nothing to report.
+    fn complete<T>(inner: &Inner, sender: &Verdict<T>, verdict: Result<T, JobError>) {
         {
             let mut state = inner.state.lock();
             state.admitted = state.admitted.saturating_sub(1);
         }
-        let mut slot = cell.slot.lock();
-        *slot = Some(verdict);
-        drop(slot);
-        cell.done.notify_all();
+        let _ = sender.send(verdict);
     }
 }
 
@@ -561,8 +548,14 @@ impl Drop for Scheduler {
     }
 }
 
-/// The fault barrier: a panicking stage becomes a typed failure message.
-fn contain<R>(job: impl FnOnce() -> R) -> Result<R, String> {
+/// The fault barrier: a panicking closure becomes its panic message (or
+/// `"non-string panic payload"`). The scheduler wraps it as
+/// [`JobError::Failed`]; the job server's stage cache calls it too.
+///
+/// # Errors
+///
+/// The panic message when `job` panics.
+pub fn contain<R>(job: impl FnOnce() -> R) -> Result<R, String> {
     catch_unwind(AssertUnwindSafe(job)).map_err(|payload| {
         payload
             .downcast_ref::<&str>()
@@ -737,6 +730,13 @@ mod tests {
         for ticket in interactive {
             let _ = ticket.wait().expect("interactive job completed");
         }
+    }
+
+    #[test]
+    fn a_ticket_whose_sender_drops_unsent_waits_to_shutdown() {
+        let (sender, ticket) = Ticket::<ShardPartial>::new();
+        drop(sender);
+        assert_eq!(ticket.wait(), Err(JobError::Shutdown));
     }
 
     #[test]

@@ -135,14 +135,6 @@ impl Pmf {
         }
     }
 
-    /// Returns a normalised copy.
-    #[must_use]
-    pub fn normalized(&self) -> Self {
-        let mut p = self.clone();
-        p.normalize();
-        p
-    }
-
     /// Iterates over `(outcome, probability)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&BitString, f64)> {
         self.probs.iter().map(|(b, &p)| (b, p))

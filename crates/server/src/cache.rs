@@ -25,16 +25,17 @@
 //!
 //! Capacity is enforced on the ready map with least-recently-used
 //! eviction. The compute closure runs *outside* the cache lock and inside
-//! a [`catch_unwind`] fault barrier: a panicking job poisons nothing,
-//! fills its flight with a typed [`ErrorCode::ComputeFailed`] rejection,
-//! and every coalesced waiter sees that same rejection. Errors are never
-//! cached — a later resubmission retries.
+//! the scheduler's [`sched::contain`] fault barrier: a panicking job
+//! poisons nothing, fills its flight with a typed
+//! [`ErrorCode::ComputeFailed`] rejection, and every coalesced waiter sees
+//! that same rejection. Errors are never cached — a later resubmission
+//! retries.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use jigsaw_core::lockcheck::{Condvar, Mutex};
+use jigsaw_core::sched;
 use jigsaw_core::telemetry::{Counter, Registry};
 use jigsaw_pmf::envelope::write_atomic;
 use jigsaw_pmf::hashing::DetHashMap;
@@ -260,16 +261,12 @@ impl StageCache {
         }
     }
 
-    /// The fault barrier: a panicking closure becomes a typed rejection.
+    /// The fault barrier ([`sched::contain`]): a panicking closure becomes
+    /// a typed rejection.
     fn contain(
         job: impl FnOnce() -> Result<Vec<u8>, JobRejection>,
     ) -> Result<Vec<u8>, JobRejection> {
-        catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
-            let detail = payload
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
+        sched::contain(job).unwrap_or_else(|detail| {
             Err(JobRejection::new(
                 ErrorCode::ComputeFailed,
                 format!("job panicked (contained): {detail}"),

@@ -8,24 +8,12 @@ use jigsaw_pmf::{BitString, Pmf};
 use crate::backend::{
     select_backend, BackendChoice, BackendKind, DenseBackend, SimBackend, StabilizerBackend,
 };
-use crate::statevector::{StateVector, MAX_SIM_QUBITS};
+use crate::statevector::MAX_SIM_QUBITS;
 
 /// Probabilities below this threshold are dropped from ideal PMFs (they are
 /// unreachable at any realistic trial count and would bloat the sparse
 /// representation).
 const PROB_CUTOFF: f64 = 1e-12;
-
-/// Simulates a circuit exactly and returns the final state.
-///
-/// # Panics
-///
-/// Panics if the circuit is wider than the simulator cap.
-#[must_use]
-pub fn ideal_state(circuit: &Circuit) -> StateVector {
-    let mut sv = StateVector::new(circuit.n_qubits());
-    sv.apply_all(circuit.gates());
-    sv
-}
 
 /// Exact output PMF of a circuit.
 ///

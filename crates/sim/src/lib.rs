@@ -47,7 +47,7 @@ pub use backend::{
 };
 pub use complex::{c, Complex};
 pub use executor::{Executor, RunConfig};
-pub use ideal::{ideal_pmf, ideal_state, resolve_correct_set};
+pub use ideal::{ideal_pmf, resolve_correct_set};
 pub use noise::{NoiseEvent, NoiseModel, NoisePlan, Pauli};
 pub use stabilizer::{OutcomeCoset, StabilizerTableau, MAX_ENUM_RANK, MAX_STABILIZER_QUBITS};
 pub use statevector::{matrix_1q, StateVector, MAX_SIM_QUBITS};

@@ -244,6 +244,26 @@ fn exhausted_retries_fail_typed_and_bounded() {
     }
 }
 
+/// A lone runner that always fails is retired on its first error, so its
+/// shard fails with the survivor rule's message after one attempt, well
+/// inside a five-attempt budget.
+#[test]
+fn the_last_runner_retiring_fails_its_shard_with_no_survivors() {
+    let stage = sweep_stage(18);
+    let runners: Vec<Box<dyn ShardRunner>> = vec![Box::new(FlakyRunner { failures: usize::MAX })];
+    let error = run_sharded(&stage, runners, &DistConfig::default().with_max_attempts(5))
+        .expect_err("a runner that always fails cannot finish a sweep");
+    match error {
+        DistError::ShardFailed { shard_index: 0, attempts: 1, ref last_error } => {
+            assert!(
+                last_error.starts_with("no surviving workers: "),
+                "the last retirement must name the fleet, got: {last_error}"
+            );
+        }
+        other => panic!("expected ShardFailed on shard 0 after 1 attempt, got {other}"),
+    }
+}
+
 /// An empty fleet is refused up front.
 #[test]
 fn empty_fleet_is_refused_typed() {
